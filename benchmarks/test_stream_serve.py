@@ -7,7 +7,9 @@ bounded-lookahead dispatch) — and pins the streaming promise from both
 sides: the serving metrics (latency percentiles, per-request records,
 goodput, backend counters) are bit-identical, and the streaming session
 costs at most ``STREAM_CEILING`` of the eager wall-clock.  The closed-loop
-replay path is pinned the same way.  Records the
+replay path is pinned the same way, and so is vector-engine serving
+(``VECTOR_SYSTEMS``): streamed and eager vector serves must both keep
+the vector engine and equal the eager scalar serve.  Records the
 ``BENCH_stream_serve.json`` trajectory baseline.
 
 Set ``REPRO_BENCH_SMOKE=1`` for a shorter session with a relaxed ceiling
@@ -30,6 +32,9 @@ SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 NUM_BATCHES = 4 if SMOKE else 16
 MODEL = "RMC1"
 SYSTEMS = ("pifs-rec", "pond", "beacon")
+#: Systems (a subset of SYSTEMS) whose serve is also timed on the vector
+#: engine, eager vs streamed.
+VECTOR_SYSTEMS = ("pond",)
 #: Streaming wall-clock ceiling relative to eager (the ISSUE's 1.2x bound;
 #: smoke sessions are too short to time stably, so the ceiling relaxes).
 STREAM_CEILING = 1.5 if SMOKE else 1.2
@@ -39,8 +44,11 @@ CONFIG = ServeConfig(qps=3e5, arrival="poisson", max_batch_size=8, seed=7)
 BASELINE_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_stream_serve.json"
 
 
-def _session(name, stream):
-    sim = Simulation(name).model(MODEL).scale(DEFAULT_SCALE).num_batches(NUM_BATCHES)
+def _session(name, stream, engine="scalar"):
+    sim = (
+        Simulation(name).model(MODEL).scale(DEFAULT_SCALE).num_batches(NUM_BATCHES)
+        .engine(engine)
+    )
     if stream:
         sim.stream()
     return sim
@@ -55,15 +63,32 @@ def _best(repeats, run):
     return best, result
 
 
-def _serve_once(name, stream):
+def _serve_once(name, stream, engine="scalar"):
     # Cold session each repeat: the eager path must pay workload
     # construction just as the streaming path regenerates the trace during
     # replay — that is the wall-clock a fresh serving session actually costs.
     clear_cache()
-    session = _session(name, stream)
+    session = _session(name, stream, engine)
     system = session.build_system()
     workload = session.build_workload()
-    return serve(system, workload, CONFIG)
+    result = serve(system, workload, CONFIG)
+    if engine == "vector":
+        assert system._vector is not None, (
+            f"{name}: {'streamed' if stream else 'eager'} serve left the vector engine"
+        )
+    return result
+
+
+def _assert_same_serve(name, label, reference, result):
+    assert reference.latency.to_dict() == result.latency.to_dict(), (
+        f"{name}: {label} serve latency percentiles diverged"
+    )
+    assert reference.sim.to_dict() == result.sim.to_dict(), (
+        f"{name}: {label} serve backend counters diverged"
+    )
+    assert reference.records == result.records, (
+        f"{name}: {label} serve per-request records diverged"
+    )
 
 
 def _run_once(name, stream):
@@ -75,20 +100,14 @@ def _run_once(name, stream):
 
 def _stream_grid():
     rows = []
+    eager_serves = {}
     for name in SYSTEMS:
         eager_s, eager_serve = _best(REPEATS, lambda: _serve_once(name, False))
         stream_s, stream_serve = _best(REPEATS, lambda: _serve_once(name, True))
         # Out-of-core replay must not change a single serving metric.
-        assert eager_serve.latency.to_dict() == stream_serve.latency.to_dict(), (
-            f"{name}: streaming serve latency percentiles diverged"
-        )
-        assert eager_serve.sim.to_dict() == stream_serve.sim.to_dict(), (
-            f"{name}: streaming serve backend counters diverged"
-        )
-        assert eager_serve.records == stream_serve.records, (
-            f"{name}: streaming serve per-request records diverged"
-        )
+        _assert_same_serve(name, "streaming", eager_serve, stream_serve)
         assert eager_serve.goodput_qps == stream_serve.goodput_qps
+        eager_serves[name] = eager_serve
 
         eager_run_s, eager_run = _best(REPEATS, lambda: _run_once(name, False))
         stream_run_s, stream_run = _best(REPEATS, lambda: _run_once(name, True))
@@ -107,17 +126,38 @@ def _stream_grid():
                 "run_ratio": stream_run_s / eager_run_s,
             }
         )
-    return rows
+
+    vector_rows = []
+    for name in VECTOR_SYSTEMS:
+        eager_s, eager_serve = _best(REPEATS, lambda: _serve_once(name, False, "vector"))
+        stream_s, stream_serve = _best(REPEATS, lambda: _serve_once(name, True, "vector"))
+        reference = eager_serves[name]
+        _assert_same_serve(name, "eager vector", reference, eager_serve)
+        _assert_same_serve(name, "streamed vector", reference, stream_serve)
+        vector_rows.append(
+            {
+                "system": name,
+                "engine": "vector",
+                "requests": stream_serve.requests,
+                "eager_serve_ms": eager_s * 1e3,
+                "stream_serve_ms": stream_s * 1e3,
+                "serve_ratio": stream_s / eager_s,
+            }
+        )
+    return rows, vector_rows
 
 
 def test_stream_serve(benchmark):
-    rows = run_once(benchmark, _stream_grid)
+    rows, vector_rows = run_once(benchmark, _stream_grid)
 
     serve_ratio = sum(r["stream_serve_ms"] for r in rows) / sum(
         r["eager_serve_ms"] for r in rows
     )
     run_ratio = sum(r["stream_run_ms"] for r in rows) / sum(
         r["eager_run_ms"] for r in rows
+    )
+    vector_ratio = sum(r["stream_serve_ms"] for r in vector_rows) / sum(
+        r["eager_serve_ms"] for r in vector_rows
     )
 
     print()
@@ -134,6 +174,16 @@ def test_stream_serve(benchmark):
         f"serve {serve_ratio:.2f}x, closed-loop {run_ratio:.2f}x "
         f"(ceiling {STREAM_CEILING}x)"
     )
+    print(format_table(
+        ["system", "engine", "requests", "eager_serve_ms", "stream_serve_ms", "serve_ratio"],
+        [[r["system"], r["engine"], r["requests"], r["eager_serve_ms"],
+          r["stream_serve_ms"], r["serve_ratio"]] for r in vector_rows],
+        float_format="{:,.2f}",
+    ))
+    print(
+        f"vector-engine streaming/eager serve ({', '.join(VECTOR_SYSTEMS)}): "
+        f"{vector_ratio:.2f}x (ceiling {STREAM_CEILING}x)"
+    )
 
     if not SMOKE:
         BASELINE_PATH.write_text(json.dumps(
@@ -147,10 +197,13 @@ def test_stream_serve(benchmark):
                 "recorded_unix": int(time.time()),
                 "host": bench_environment(),
                 "entries": rows,
+                "vector_entries": vector_rows,
                 "aggregate": {
                     "systems": list(SYSTEMS),
                     "serve_ratio": serve_ratio,
                     "run_ratio": run_ratio,
+                    "vector_systems": list(VECTOR_SYSTEMS),
+                    "vector_serve_ratio": vector_ratio,
                 },
                 "ceilings": {"stream_over_eager": STREAM_CEILING},
             },
@@ -163,5 +216,9 @@ def test_stream_serve(benchmark):
     )
     assert run_ratio <= STREAM_CEILING, (
         f"streaming closed-loop replay costs {run_ratio:.2f}x eager "
+        f"(ceiling {STREAM_CEILING}x)"
+    )
+    assert vector_ratio <= STREAM_CEILING, (
+        f"streaming vector-engine serve costs {vector_ratio:.2f}x eager "
         f"(ceiling {STREAM_CEILING}x)"
     )

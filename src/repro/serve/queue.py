@@ -42,6 +42,11 @@ class AdmissionQueue:
         return len(self._pending)
 
     @property
+    def entries(self) -> Deque[QueuedRequest]:
+        """The queued requests, oldest first."""
+        return self._pending
+
+    @property
     def oldest_arrival_ns(self) -> Optional[int]:
         return self._pending[0].arrival_ns if self._pending else None
 

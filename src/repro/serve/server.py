@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.serve.arrivals import arrival_process
 from repro.serve.batcher import Batch, BatchPolicy, DynamicBatcher
 from repro.serve.metrics import RequestRecord, ServeResult, summarize
 from repro.serve.queue import AdmissionQueue
 from repro.sls.engine import SLSSystem
-from repro.traces.workload import SLSWorkload
+from repro.traces.workload import SLSRequest, SLSWorkload
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,20 @@ class ServeConfig:
         return BatchPolicy(max_batch_size=self.max_batch_size, max_wait_ns=self.max_wait_ns)
 
 
+def _blocks(requests: List[SLSRequest], max_lookups: int) -> Iterator[List[SLSRequest]]:
+    """Consecutive slices of ``requests`` of at most ``max_lookups`` lookups.
+
+    A request with more lookups than that forms a slice of its own.
+    """
+    start = lookups = 0
+    for index, request in enumerate(requests):
+        if lookups and lookups + request.num_candidates > max_lookups:
+            yield requests[start:index]
+            start, lookups = index, 0
+        lookups += request.num_candidates
+    yield requests[start:]
+
+
 def serve(system: SLSSystem, workload: SLSWorkload, config: ServeConfig) -> ServeResult:
     """Serve ``workload`` on ``system`` under ``config`` and return metrics.
 
@@ -59,115 +73,141 @@ def serve(system: SLSSystem, workload: SLSWorkload, config: ServeConfig) -> Serv
     (requests within a batch run back-to-back on one lane, matching the
     closed-loop engine's one-bag-per-thread model).
 
-    A :class:`~repro.traces.workload.StreamingWorkload` is served by the
-    streaming loop (:func:`_serve_streaming`): arrivals are generated
-    lazily, requests stay resident only for their active batch window, and
-    batches dispatch from a bounded lookahead heap in the exact global
-    ``(dispatch, host, sequence)`` order of this eager path — metrics and
-    backend state are bit-identical.
+    One loop serves eager and streaming workloads alike, window by window
+    (an eager workload is one window), so only the active window is
+    resident.  Arrivals come from the lazy generator
+    (:meth:`~repro.serve.arrivals.ArrivalProcess.iter_arrival_times_ns`).
+    Emitted batches wait in a min-heap keyed ``(dispatch, host, index)``
+    and dispatch once sim-time provably passes them.  The watermark is
+    ``min(T, earliest open-batch deadline across hosts)`` for the current
+    arrival time ``T``: a future batch either fills on an arrival
+    (dispatch ≥ T), times out (dispatch = its host's deadline, and per-host
+    deadlines only move forward as entries drain), or flushes at close
+    (again at its deadline).  Nothing can enter the heap below the
+    watermark, so popping strictly below it dispatches in the global
+    ``(dispatch, host, index)`` order of the whole timeline with a
+    lookahead of about ``max_wait_ns`` worth of batches.
+
+    With an active vector context, each batch is timed by one
+    :meth:`~repro.sls.engine.SLSSystem.service_batch_vector` call, and the
+    loop resolves what it is about to dispatch: before each block of
+    arrivals (at most ``VectorContext.NODE_WINDOW`` lookups) it loads the
+    block together with every request still queued or pending into the
+    context, so resolution stays O(block + lookahead).  Otherwise each
+    batch chains :meth:`~repro.sls.engine.SLSSystem.service_request`.
+    Both engines produce identical records, metrics and backend state.
     """
-    if getattr(workload, "streaming", False):
-        return _serve_streaming(system, workload, config)
-    process = arrival_process(config.arrival)
-    arrivals = process.arrival_times_ns(len(workload.requests), config.qps, config.seed)
+    streaming = getattr(workload, "streaming", False)
+    windows = workload.iter_windows() if streaming else (workload.requests,)
+    arrivals = arrival_process(config.arrival).iter_arrival_times_ns(
+        None, config.qps, config.seed
+    )
 
     num_hosts = max(1, system.system.num_hosts)
     threads_per_host = max(1, system.system.host_threads)
 
     system.begin_session(workload)
+    vector = system._vector
     obs = system.obs
     record_obs = obs.enabled
 
-    # Admission: per-host queue + batcher, fed in global arrival order
-    # (the schedule is sorted, so each host sees its own arrivals in order).
     queues = {host: AdmissionQueue(host) for host in range(num_hosts)}
     batchers = {
         host: DynamicBatcher(config.policy, queues[host]) for host in range(num_hosts)
     }
-    all_batches: List[Batch] = []
-    with obs.phase("serve.admit"):
-        for request, arrival_ns in zip(workload.requests, arrivals):
-            host = request.host_id % num_hosts
-            all_batches.extend(batchers[host].offer(request, int(arrival_ns)))
-        for host in range(num_hosts):
-            all_batches.extend(batchers[host].close())
-
-    # Service: globally ordered by dispatch time so the shared backend
-    # models (DRAM banks, switch ports) see a deterministic access order.
-    all_batches.sort(key=lambda batch: (batch.dispatch_ns, batch.host_id, batch.index))
     lanes: Dict[int, List[float]] = {
         host: [0.0] * threads_per_host for host in range(num_hosts)
     }
-    # With an active vector context the whole dynamic batch is timed as one
-    # numpy-backed batch call; the per-request cursors are recovered from
-    # the returned completion times (request i starts where i-1 finished),
-    # so the records — and the backend state evolution — are identical to
-    # the per-request dispatch below.
-    batch_service = (
-        system.service_batch_vector
-        if getattr(system, "_vector", None) is not None
-        and hasattr(system, "service_batch_vector")
-        else None
-    )
+    pending: List = []  # heap of (dispatch_ns, host_id, index, batch)
     records: List[RequestRecord] = []
-    with obs.phase("serve.dispatch"):
-        for batch in all_batches:
-            lane_times = lanes[batch.host_id]
-            lane = min(range(threads_per_host), key=lambda i: (lane_times[i], i))
-            dispatched = max(batch.dispatch_ns, lane_times[lane])
-            cursor = dispatched
-            if batch_service is not None:
-                completions = batch_service(
-                    [entry.request for entry in batch.entries], cursor, batch.host_id
+
+    if vector is not None:
+        service = system.service_batch_vector
+    else:
+        service_request = system.service_request
+
+        def service(requests: List, cursor: float, host_id: int) -> List[float]:
+            completions = []
+            for request in requests:
+                cursor = service_request(request, cursor, host_id)
+                completions.append(cursor)
+            return completions
+
+    def dispatch(batch: Batch) -> None:
+        lane_times = lanes[batch.host_id]
+        lane = min(range(threads_per_host), key=lambda i: (lane_times[i], i))
+        dispatched = max(batch.dispatch_ns, lane_times[lane])
+        completions = service(
+            [entry.request for entry in batch.entries], dispatched, batch.host_id
+        )
+        started = dispatched
+        for entry, complete_ns in zip(batch.entries, completions):
+            records.append(
+                RequestRecord(
+                    request_id=entry.request.request_id,
+                    host_id=batch.host_id,
+                    lane=lane,
+                    arrival_ns=entry.arrival_ns,
+                    dispatch_ns=batch.dispatch_ns,
+                    start_ns=started,
+                    complete_ns=complete_ns,
+                    lookups=entry.request.num_candidates,
                 )
-                started = cursor
-                for entry, complete_ns in zip(batch.entries, completions):
-                    records.append(
-                        RequestRecord(
-                            request_id=entry.request.request_id,
-                            host_id=batch.host_id,
-                            lane=lane,
-                            arrival_ns=entry.arrival_ns,
-                            dispatch_ns=batch.dispatch_ns,
-                            start_ns=started,
-                            complete_ns=complete_ns,
-                            lookups=entry.request.num_candidates,
-                        )
+            )
+            started = complete_ns
+        lane_times[lane] = started
+        if record_obs:
+            obs.span(
+                "batch", dispatched, started,
+                track=f"host{batch.host_id}.lane{lane}", cat="serve",
+                args={"size": len(batch.entries), "index": batch.index},
+            )
+            obs.count("serve.batches")
+            for record in records[len(records) - len(batch.entries):]:
+                if record.start_ns > record.arrival_ns:
+                    obs.span(
+                        "wait", record.arrival_ns, record.start_ns,
+                        track=f"host{batch.host_id}.queue", cat="serve",
+                        args={"id": record.request_id},
                     )
-                    started = complete_ns
-                if completions:
-                    cursor = completions[-1]
-            else:
-                for entry in batch.entries:
-                    started = cursor
-                    cursor = system.service_request(entry.request, started, batch.host_id)
-                    records.append(
-                        RequestRecord(
-                            request_id=entry.request.request_id,
-                            host_id=batch.host_id,
-                            lane=lane,
-                            arrival_ns=entry.arrival_ns,
-                            dispatch_ns=batch.dispatch_ns,
-                            start_ns=started,
-                            complete_ns=cursor,
-                            lookups=entry.request.num_candidates,
+
+    with obs.phase("serve.loop"):
+        for window in windows:
+            blocks = (window,) if vector is None else _blocks(window, vector.NODE_WINDOW)
+            for block in blocks:
+                if vector is not None:
+                    # Resolve everything dispatchable before the next block:
+                    # its arrivals and every request still queued or pending.
+                    with obs.phase("serve.resolve"):
+                        vector.load_window(
+                            [entry.request for queue in queues.values() for entry in queue.entries]
+                            + [entry.request for *_, batch in pending for entry in batch.entries]
+                            + block
                         )
-                    )
-            lane_times[lane] = cursor
-            if record_obs:
-                obs.span(
-                    "batch", dispatched, cursor,
-                    track=f"host{batch.host_id}.lane{lane}", cat="serve",
-                    args={"size": len(batch.entries), "index": batch.index},
-                )
-                obs.count("serve.batches")
-                for record in records[len(records) - len(batch.entries):]:
-                    if record.start_ns > record.arrival_ns:
-                        obs.span(
-                            "wait", record.arrival_ns, record.start_ns,
-                            track=f"host{batch.host_id}.queue", cat="serve",
-                            args={"id": record.request_id},
+                for request in block:
+                    arrival_ns = int(next(arrivals))
+                    host = request.host_id % num_hosts
+                    for batch in batchers[host].offer(request, arrival_ns):
+                        heapq.heappush(
+                            pending, (batch.dispatch_ns, batch.host_id, batch.index, batch)
                         )
+                    # Everything dispatching strictly below the watermark is
+                    # final: another host may still hold an open batch whose
+                    # wait timer already expired (it flushes at that deadline
+                    # on its *next* arrival or at close), so the safe horizon
+                    # is the earliest open deadline anywhere (see docstring).
+                    watermark = arrival_ns
+                    for batcher in batchers.values():
+                        deadline = batcher.queue.deadline_ns(config.max_wait_ns)
+                        if deadline is not None and deadline < watermark:
+                            watermark = deadline
+                    while pending and pending[0][0] < watermark:
+                        dispatch(heapq.heappop(pending)[3])
+        for host in range(num_hosts):
+            for batch in batchers[host].close():
+                heapq.heappush(pending, (batch.dispatch_ns, batch.host_id, batch.index, batch))
+        while pending:
+            dispatch(heapq.heappop(pending)[3])
 
     with obs.phase("serve.summarize"):
         records.sort(key=lambda record: record.request_id)
@@ -199,158 +239,7 @@ def serve(system: SLSSystem, workload: SLSWorkload, config: ServeConfig) -> Serv
         max_wait_ns=config.max_wait_ns,
         seed=config.seed,
         sla_ns=config.sla_ns,
-        batches=len(all_batches),
-        queue_depth_timelines={h: q.timeline for h, q in active_queues.items()},
-        mean_queue_depth=mean_depth,
-        max_queue_depth=max((q.max_depth for q in active_queues.values()), default=0),
-        sim=sim,
-    )
-
-
-def _serve_streaming(system: SLSSystem, workload, config: ServeConfig) -> ServeResult:
-    """Streaming twin of :func:`serve`: O(window) trace residency.
-
-    Three things distinguish it from the eager loop, none of which change
-    a single output value:
-
-    * arrivals come from the lazy generator
-      (:meth:`~repro.serve.arrivals.ArrivalProcess.iter_arrival_times_ns`),
-      which reproduces the eager ``int64`` schedule exactly;
-    * requests are flattened window by window, so only the active batch
-      window of the trace is resident;
-    * emitted batches wait in a min-heap keyed ``(dispatch, host, index)``
-      and dispatch once sim-time provably passes them.  The watermark is
-      ``min(T, earliest open-batch deadline across hosts)`` for the
-      current arrival time ``T``: a future batch either fills on an
-      arrival (dispatch ≥ T), times out (dispatch = its host's deadline,
-      and per-host deadlines only move forward as entries drain), or
-      flushes at close (again at its deadline) — so nothing can ever
-      enter the heap below the watermark, and popping strictly below it
-      replays the eager loop's *globally sorted* dispatch order with a
-      lookahead bounded by ``max_wait_ns`` worth of batches instead of
-      the whole timeline.
-
-    Dispatch runs on the scalar request path (the oracle): a vector
-    context resolves whole sessions up front, which is exactly what
-    streaming avoids — and scalar/vector results are pinned bit-identical,
-    so serving metrics do not depend on the engine either way.
-    """
-    process = arrival_process(config.arrival)
-    arrivals = process.iter_arrival_times_ns(None, config.qps, config.seed)
-
-    num_hosts = max(1, system.system.num_hosts)
-    threads_per_host = max(1, system.system.host_threads)
-
-    system.begin_session(workload)
-    if getattr(system, "_vector", None) is not None:
-        # Discard the (unused, empty-window) vector context before any
-        # request runs: its kernels snapshot the fresh machine, and syncing
-        # them at finish would overwrite the scalar path's evolved state.
-        system._vector = None
-        system._vector_fallback_reason = "streaming serve dispatches on the scalar path"
-    obs = system.obs
-    record_obs = obs.enabled
-
-    queues = {host: AdmissionQueue(host) for host in range(num_hosts)}
-    batchers = {
-        host: DynamicBatcher(config.policy, queues[host]) for host in range(num_hosts)
-    }
-    lanes: Dict[int, List[float]] = {
-        host: [0.0] * threads_per_host for host in range(num_hosts)
-    }
-    pending: List = []  # heap of (dispatch_ns, host_id, index, batch)
-    records: List[RequestRecord] = []
-    num_batches = 0
-
-    def dispatch(batch: Batch) -> None:
-        lane_times = lanes[batch.host_id]
-        lane = min(range(threads_per_host), key=lambda i: (lane_times[i], i))
-        dispatched = max(batch.dispatch_ns, lane_times[lane])
-        cursor = dispatched
-        for entry in batch.entries:
-            started = cursor
-            cursor = system.service_request(entry.request, started, batch.host_id)
-            records.append(
-                RequestRecord(
-                    request_id=entry.request.request_id,
-                    host_id=batch.host_id,
-                    lane=lane,
-                    arrival_ns=entry.arrival_ns,
-                    dispatch_ns=batch.dispatch_ns,
-                    start_ns=started,
-                    complete_ns=cursor,
-                    lookups=entry.request.num_candidates,
-                )
-            )
-        lane_times[lane] = cursor
-        if record_obs:
-            obs.span(
-                "batch", dispatched, cursor,
-                track=f"host{batch.host_id}.lane{lane}", cat="serve",
-                args={"size": len(batch.entries), "index": batch.index},
-            )
-            obs.count("serve.batches")
-            for record in records[len(records) - len(batch.entries):]:
-                if record.start_ns > record.arrival_ns:
-                    obs.span(
-                        "wait", record.arrival_ns, record.start_ns,
-                        track=f"host{batch.host_id}.queue", cat="serve",
-                        args={"id": record.request_id},
-                    )
-
-    with obs.phase("serve.stream"):
-        for request in workload:
-            arrival_ns = int(next(arrivals))
-            host = request.host_id % num_hosts
-            for batch in batchers[host].offer(request, arrival_ns):
-                heapq.heappush(pending, (batch.dispatch_ns, batch.host_id, batch.index, batch))
-                num_batches += 1
-            # Everything dispatching strictly below the watermark is final:
-            # another host may still hold an open batch whose wait timer
-            # already expired (it flushes at that deadline on its *next*
-            # arrival or at close), so the safe horizon is the earliest
-            # open deadline anywhere, not this arrival time (see docstring).
-            watermark = arrival_ns
-            for batcher in batchers.values():
-                deadline = batcher.queue.deadline_ns(config.max_wait_ns)
-                if deadline is not None and deadline < watermark:
-                    watermark = deadline
-            while pending and pending[0][0] < watermark:
-                dispatch(heapq.heappop(pending)[3])
-        for host in range(num_hosts):
-            for batch in batchers[host].close():
-                heapq.heappush(pending, (batch.dispatch_ns, batch.host_id, batch.index, batch))
-                num_batches += 1
-        while pending:
-            dispatch(heapq.heappop(pending)[3])
-
-    with obs.phase("serve.summarize"):
-        records.sort(key=lambda record: record.request_id)
-        total_ns = max((record.complete_ns for record in records), default=0.0)
-        if record_obs:
-            for host, queue in queues.items():
-                if not queue.admitted:
-                    continue
-                for time_ns, depth in queue.timeline:
-                    obs.counter(f"queue.host{host}", time_ns, depth)
-    sim = system.finish_session(total_ns)
-
-    active_queues = {h: q for h, q in queues.items() if q.admitted}
-    mean_depth = (
-        sum(queue.mean_depth() for queue in active_queues.values()) / len(active_queues)
-        if active_queues
-        else 0.0
-    )
-    return summarize(
-        system.name,
-        records,
-        qps=config.qps,
-        arrival=config.arrival,
-        max_batch_size=config.max_batch_size,
-        max_wait_ns=config.max_wait_ns,
-        seed=config.seed,
-        sla_ns=config.sla_ns,
-        batches=num_batches,
+        batches=sum(batcher.dispatched for batcher in batchers.values()),
         queue_depth_timelines={h: q.timeline for h, q in active_queues.items()},
         mean_queue_depth=mean_depth,
         max_queue_depth=max((q.max_depth for q in active_queues.values()), default=0),

@@ -268,7 +268,7 @@ class SLSSystem(ABC):
             from repro.sls.vector import VectorContext, VectorUnsupportedError
 
             try:
-                self._vector = VectorContext(self, workload)
+                self._vector = VectorContext(self)
             except VectorUnsupportedError as error:
                 # The scalar path supports everything; remember why the fast
                 # path was unavailable for introspection.
@@ -299,15 +299,15 @@ class SLSSystem(ABC):
         management maintenance triggered by the epoch counter lands on the
         serving lane — the caller's next dispatch on this lane starts after
         the stall — rather than stalling every lane the way the closed-loop
-        replay does.  :meth:`begin_session` must have been called.
+        replay does.  :meth:`begin_session` must have been called; with an
+        active vector context this is a one-request
+        :meth:`service_batch_vector`.
         """
         num_hosts = max(1, self.system.num_hosts)
         host = request.host_id % num_hosts if host_id is None else host_id
-        vector = self._vector
-        if vector is not None and vector.owns(request):
-            finish_ns = self.process_request_vector(request, start_ns, host)
-        else:
-            finish_ns = self.process_request(request, start_ns, host)
+        if self._vector is not None:
+            return self.service_batch_vector((request,), start_ns, host)[0]
+        finish_ns = self.process_request(request, start_ns, host)
         obs = self.obs
         if obs.enabled:
             obs.span(
@@ -319,8 +319,6 @@ class SLSSystem(ABC):
         epoch = max(1, self.system.page_mgmt.migration_epoch_accesses)
         if self._lookups_since_maintenance >= epoch:
             self._lookups_since_maintenance = 0
-            if vector is not None:
-                vector.flush_tiered()
             stall_ns = self.maintenance(finish_ns)
             if stall_ns > 0 and obs.enabled:
                 obs.span(
@@ -335,23 +333,24 @@ class SLSSystem(ABC):
     ) -> List[float]:
         """Serve a dispatched batch back-to-back on one lane (vector engine).
 
-        Batched twin of calling :meth:`service_request` once per request
-        with each start at the previous completion: returns the per-request
-        completion times, from which the caller recovers every request's
-        cursor (request ``i`` starts at ``result[i - 1]``).  Maintenance
-        triggered by the epoch counter lands on the serving lane between
-        requests exactly as in the sequential path.  Requires an active
-        vector context (``engine="vector"`` and :meth:`begin_session`
-        succeeded building one); the epoch counter, flush points and
-        per-request arithmetic are identical to the scalar-serve dispatch,
-        so percentiles, queue timelines and backend state do not change.
+        The vector twin of chaining :meth:`service_request` over the batch
+        (each request starts at the previous completion): returns the
+        per-request completion times, from which the caller recovers every
+        request's start (request ``i`` starts at ``result[i - 1]``).
+        Maintenance triggered by the epoch counter lands on the serving
+        lane between requests, with the buffered access counts flushed
+        first, exactly as on the scalar path.
+
+        Requires an active vector context, and every request must be in
+        its resolved window (:meth:`~repro.sls.vector.VectorContext.load_window`);
+        an unresolved request raises ``LookupError`` naming its id before
+        it touches the kernels.
         """
         vector = self._vector
         if vector is None:
             raise RuntimeError("service_batch_vector requires an active vector context")
-        owns = vector.owns
-        process_vector = self.process_request_vector
-        process_scalar = self.process_request
+        bounds = vector.bounds
+        process = self.process_request_vector
         flush = vector.flush_tiered
         maintenance = self.maintenance
         epoch = max(1, self.system.page_mgmt.migration_epoch_accesses)
@@ -363,11 +362,13 @@ class SLSSystem(ABC):
         completions: List[float] = []
         append = completions.append
         for request in requests:
+            if request.request_id not in bounds:
+                raise LookupError(
+                    f"request {request.request_id} is not in the vector "
+                    "context's resolved window; load_window it before dispatch"
+                )
             begin_ns = cursor
-            if owns(request):
-                cursor = process_vector(request, cursor, host_id)
-            else:
-                cursor = process_scalar(request, cursor, host_id)
+            cursor = process(request, cursor, host_id)
             if record:
                 obs.span(
                     "request", begin_ns, cursor, track=track,
@@ -436,17 +437,16 @@ class SLSSystem(ABC):
         process = self.process_request if vector is None else self.process_request_vector
         obs = self.obs
         record = obs.enabled
-        # Streaming workloads are replayed window by window: only the active
-        # window's requests (and, under the vector engine, its resolution
-        # arrays) are resident.  The per-request arithmetic, lane assignment
-        # and maintenance epochs are byte-for-byte the eager loop's, and the
-        # vector kernels persist across windows, so results are bit-identical
-        # to replaying the materialized workload.
+        # Workloads are replayed window by window, an eager workload being
+        # one window: only the active window's requests (and, under the
+        # vector engine, its resolution arrays) are resident.  The vector
+        # kernels persist across windows, so results are bit-identical to
+        # replaying the materialized workload.
         streaming = getattr(workload, "streaming", False)
         windows = workload.iter_windows() if streaming else (workload.requests,)
         with obs.phase("engine.execute"):
             for window in windows:
-                if streaming and vector is not None:
+                if vector is not None:
                     vector.load_window(window)
                 for request in window:
                     host_id = request.host_id % num_hosts

@@ -5,10 +5,12 @@ stack (tiered page table → device models → switch/link objects), costing
 dozens of Python calls per row.  The vectorized engine keeps the *scalar
 path as the oracle* and restructures the work in two stages:
 
-1. **Batched resolution** — at session start every request's addresses are
-   concatenated and resolved with a handful of numpy passes: page ids,
+1. **Batched resolution** — before dispatching, the loop that owns the
+   dispatch order hands the context a window of requests
+   (:meth:`VectorContext.load_window`), whose addresses are concatenated
+   and resolved with a handful of numpy passes: page ids,
    DRAM coordinates under both the local-DDR5 and the CXL-DDR4 mappings
-   (placement-independent, computed once), and — per placement generation —
+   (placement-independent), and — per placement generation —
    the page → node gather through
    :meth:`~repro.memsys.tiered.TieredMemorySystem.node_id_table`.
 2. **Flattened timing kernels** — the stateful per-access arithmetic runs
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -46,57 +48,11 @@ class VectorUnsupportedError(RuntimeError):
     """
 
 
-class _OffsetBounds:
-    """Request-id-indexed view over window-local ``(begin, end)`` bounds.
-
-    Streaming windows keep the workload's global request ids, but the
-    context's resolution arrays are window-local; this shim lets every
-    request path keep indexing ``ctx.bounds[request.request_id]`` verbatim
-    while the window's bounds list stays O(window).
-    """
-
-    __slots__ = ("_bounds", "_base")
-
-    def __init__(self, bounds: List[Tuple[int, int]], base: int) -> None:
-        self._bounds = bounds
-        self._base = base
-
-    def __getitem__(self, request_id: int) -> Tuple[int, int]:
-        return self._bounds[request_id - self._base]
-
-    def __len__(self) -> int:
-        return len(self._bounds)
-
-
-class _MappedBounds:
-    """Bounds view for windows whose request ids are not contiguous.
-
-    Fleet shard views (:class:`repro.fleet.shard.ShardWorkload`) filter a
-    shared trace but keep the global request ids, so a shard's window has
-    id gaps where requests were routed to other shards.  A per-window
-    id -> position dict keeps ``ctx.bounds[request.request_id]`` exact
-    while staying O(window).
-    """
-
-    __slots__ = ("_bounds", "_positions")
-
-    def __init__(self, bounds: List[Tuple[int, int]], request_ids: List[int]) -> None:
-        self._bounds = bounds
-        self._positions = {request_id: index for index, request_id in enumerate(request_ids)}
-
-    def __getitem__(self, request_id: int) -> Tuple[int, int]:
-        return self._bounds[self._positions[request_id]]
-
-    def __len__(self) -> int:
-        return len(self._bounds)
-
-
 class VectorContext:
     """Per-session resolution arrays and timing kernels for one system."""
 
-    def __init__(self, system, workload) -> None:
+    def __init__(self, system) -> None:
         self.system = system
-        self.workload = workload
         self.tiered = system.tiered
         backends = system.backends
         self.backends = backends
@@ -171,52 +127,37 @@ class VectorContext:
         self._bind_closures()
         system.prepare_vector(self)
 
-        # ------------------------------------------------------------------
-        # Stage 1: batched address resolution.  Eager workloads resolve the
-        # whole request list once; streaming workloads start empty and the
-        # engine re-resolves per window via :meth:`load_window` (the kernels
-        # above persist across windows, so the timing-state stream — and
-        # therefore every finish time — is identical to one whole-workload
-        # resolution).
-        # ------------------------------------------------------------------
-        initial = [] if getattr(workload, "streaming", False) else workload.requests
-        self.load_window(initial)
+        # Stage 1 starts empty: the loop that owns the dispatch order
+        # resolves what it is about to dispatch through :meth:`load_window`.
+        self.load_window([])
 
     # ------------------------------------------------------------------
-    # Stage-1 resolution (whole workload, or one streaming window)
+    # Stage-1 resolution
     # ------------------------------------------------------------------
-    def load_window(self, requests: List) -> None:
-        """(Re)resolve the context's stage-1 arrays over ``requests``.
+    def load_window(self, requests: Sequence) -> None:
+        """Resolve the context's stage-1 arrays over ``requests``.
 
-        ``requests`` must carry strictly increasing request ids (whole
-        eager lists, streaming windows, and fleet shard views all do —
-        shard views leave id gaps, covered by a mapped bounds view);
-        resolution arrays become O(len(requests)) and
-        ``bounds`` stays indexable by global request id.  Kernel state and
-        the buffered access counters are left untouched — they are
-        cumulative across windows, exactly like the scalar engine's device
-        state.
+        The loops that own the dispatch order call this before dispatching:
+        :meth:`~repro.sls.engine.SLSSystem.run` once per workload window
+        (an eager workload is one window), and
+        :func:`~repro.serve.server.serve` once per block of arriving
+        requests together with the requests still queued or pending.  Only
+        the requests of the latest call may be dispatched; ``bounds`` maps
+        each of their ids to its ``(begin, end)`` resolved positions, so
+        any order and any id gaps (fleet shard views) are fine.
+        Resolution arrays are O(len(requests)).  Kernel state and the
+        buffered access counters are left untouched — they are cumulative
+        across windows, exactly like the scalar engine's device state.
         """
-        self.requests = requests
-        self._base = requests[0].request_id if requests else 0
-        if requests:
-            addresses = np.concatenate([request.addresses for request in requests])
-        else:
-            addresses = np.zeros(0, dtype=np.int64)
-        addresses = addresses.astype(np.int64, copy=False)
-        lengths = [len(request.addresses) for request in requests]
-        ends = np.cumsum(lengths) if lengths else np.zeros(0, dtype=np.int64)
-        starts = ends - np.asarray(lengths, dtype=np.int64) if lengths else ends
-        bounds: List[Tuple[int, int]] = list(zip(starts.tolist(), ends.tolist()))
-        request_ids = [request.request_id for request in requests]
-        if not requests or request_ids[-1] - self._base + 1 == len(requests):
-            # Contiguous ids (whole eager lists and plain streaming windows).
-            self.bounds = bounds if self._base == 0 else _OffsetBounds(bounds, self._base)
-        else:
-            # Id gaps: a fleet shard view routed the missing requests to
-            # other shards (ids stay global so fleet results line up with
-            # the unsharded replay).
-            self.bounds = _MappedBounds(bounds, request_ids)
+        ends = np.cumsum(
+            [len(request.addresses) for request in requests], dtype=np.int64
+        ).tolist()
+        self.bounds: Dict[int, Tuple[int, int]] = dict(
+            zip((request.request_id for request in requests), zip([0] + ends, ends))
+        )
+        addresses = np.concatenate(
+            [request.addresses for request in requests] or [np.zeros(0, dtype=np.int64)]
+        ).astype(np.int64, copy=False)
 
         self.addr: List[int] = addresses.tolist()
         self._page_np = addresses // self.tiered.page_size
@@ -246,15 +187,11 @@ class VectorContext:
     # ------------------------------------------------------------------
     # Resolution accessors
     # ------------------------------------------------------------------
-    def owns(self, request) -> bool:
-        """True when ``request`` is in the currently resolved window."""
-        index = request.request_id - self._base
-        return 0 <= index < len(self.requests) and self.requests[index] is request
-
     #: Gather granularity of the node window (lookups, not bytes): large
     #: enough to amortize the numpy gather, small enough that the frequent
     #: migration epochs of the page-managed systems do not re-gather the
-    #: whole remaining workload every epoch.
+    #: whole remaining workload every epoch.  The serve loop also caps its
+    #: resolution blocks at this many arriving lookups.
     NODE_WINDOW = 8192
 
     def _ensure_window(self, begin: int, end: int) -> None:

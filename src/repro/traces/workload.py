@@ -339,19 +339,25 @@ class StreamingWorkload:
 
         Request ids run sequentially across windows and hosts are assigned
         by the eager round-robin rule, so ``chain(*iter_windows())``
-        reproduces ``materialize().requests`` element for element.
+        reproduces ``materialize().requests`` element for element.  A
+        complete pass also records the whole-trace aggregates, so a later
+        ``len()`` does not read the stream again.
         """
         space = self.address_space
         row_bytes = self.model.embedding_row_bytes
         host_of_sample = self._host_of_sample()
-        request_id = 0
+        request_id = lookups = batches = batch_size = 0
         if window_batches is None:
             window_batches = self.window_batches
         for window in self.stream.windows(window_batches):
             requests: List[SLSRequest] = []
             for batch in window:
+                if not batches:
+                    batch_size = batch.batch_size
+                batches += 1
                 for table in range(batch.num_tables):
                     indices = batch.indices_per_table[table].astype(np.int64)
+                    lookups += len(indices)
                     offsets = batch.offsets_per_table[table]
                     table_addresses = space.row_addresses(table, indices)
                     request_id = flatten_table_bags(
@@ -359,6 +365,13 @@ class StreamingWorkload:
                         table_addresses, row_bytes, host_of_sample,
                     )
             yield requests
+        if self._scan is None:
+            self._scan = {
+                "num_requests": request_id,
+                "total_lookups": lookups,
+                "num_batches": batches,
+                "batch_size": batch_size,
+            }
 
     def __iter__(self) -> Iterator[SLSRequest]:
         for window in self.iter_windows():

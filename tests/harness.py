@@ -174,6 +174,16 @@ def _strip_net(fingerprint: Dict[str, Any]) -> Dict[str, Any]:
     return {key: value for key, value in fingerprint.items() if key != "net"}
 
 
+def _strip_serve_net(data: Dict[str, Any]) -> Dict[str, Any]:
+    """A fleet serve result dict with every ``sim.net`` report removed."""
+
+    def strip(entry: Dict[str, Any]) -> Dict[str, Any]:
+        sim = entry.get("sim")
+        return dict(entry, sim=dict(sim, net=None) if sim is not None else None)
+
+    return dict(strip(data), per_shard=[strip(shard) for shard in data["per_shard"]])
+
+
 # ---------------------------------------------------------------------------
 # The differential assertions
 # ---------------------------------------------------------------------------
@@ -188,10 +198,6 @@ def _attach_recorder(system) -> TraceRecorder:
 def _check_vector_context(system, engine: str, streaming: bool, serving: bool) -> None:
     """The vector engine must actually have engaged (not silently fallen back)."""
     if engine != "vector" or not getattr(system, "supports_vector_engine", True):
-        return
-    if serving and streaming:
-        # Streaming serve dispatches on the scalar oracle path by design
-        # (results are pinned identical to the vector path regardless).
         return
     assert system._vector is not None, "vector context was not built"
 
@@ -339,12 +345,12 @@ def assert_fleet_identical(
     # on every engine x streaming variant — shard views leave request-id
     # gaps the vector context must handle, so the pooled/serial sweep must
     # not silently run a single fidelity.  Across engines, the multi-shard
-    # combined aggregate must agree once NetStats (packet-tier-only) is
-    # stripped — the same within/across-engine contract the single-system
-    # oracles pin.
+    # combined aggregate (and, when serving, the whole fleet serve result)
+    # must agree once NetStats (packet-tier-only) is stripped — the same
+    # within/across-engine contract the single-system oracles pin.
     for shards in shard_counts:
         for stream in streaming:
-            reference = None
+            reference = serve_reference = None
             for engine in engines:
                 fleet_spec = replace(
                     spec, engine=engine, stream=stream, fleet_shards=int(shards)
@@ -371,6 +377,14 @@ def assert_fleet_identical(
                     assert serial_serve.to_dict() == pooled_serve.to_dict(), (
                         f"pooled fleet serve diverged from serial ({label})"
                     )
+                    served = _strip_serve_net(serial_serve.to_dict())
+                    if serve_reference is None:
+                        serve_reference = (served, label)
+                    else:
+                        assert served == serve_reference[0], (
+                            f"fleet serve: {label} diverged from "
+                            f"{serve_reference[1]}"
+                        )
     return per_engine
 
 

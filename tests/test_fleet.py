@@ -280,6 +280,25 @@ def test_fleet_identical_across_the_grid():
     )
 
 
+@pytest.mark.parametrize("system", ["pond", "pifs-rec"])
+@pytest.mark.parametrize("router", ["hash", "table-affinity"])
+def test_multi_shard_fleet_serve_identical_across_engines(system, router):
+    """Shard views leave request-id gaps; every shard's vector serve must
+    still time exactly the requests the scalar serve times."""
+    results = [
+        Fleet(_quick().system(system).engine(engine).fleet(3, router=router, seed=5).spec())
+        .serve(ServeConfig(qps=3e5))
+        for engine in ("scalar", "vector")
+    ]
+    scalar, vector = (
+        [[(r.request_id, r.lane, r.start_ns, r.complete_ns) for r in shard.records]
+         for shard in result.per_shard]
+        for result in results
+    )
+    assert scalar == vector
+    assert results[0].to_dict() == results[1].to_dict()
+
+
 def test_fleet_identical_power_of_two_streaming():
     spec = _quick().stream().fleet(4, router="power-of-two-choices", seed=2).spec()
     assert_fleet_identical(

@@ -503,13 +503,31 @@ class TestVectorServeDispatch:
 
         batched = create_system("pifs-rec", tiny_system).set_engine("vector")
         batched.begin_session(tiny_workload)
+        batched._vector.load_window(tiny_workload.requests)
         completions = batched.service_batch_vector(list(tiny_workload.requests), 0.0, 0)
 
         sequential = create_system("pifs-rec", tiny_system).set_engine("vector")
         sequential.begin_session(tiny_workload)
+        sequential._vector.load_window(tiny_workload.requests)
         cursor = 0.0
         expected = []
         for request in tiny_workload.requests:
             cursor = sequential.service_request(request, cursor, 0)
             expected.append(cursor)
         assert completions == expected
+
+    @pytest.mark.parametrize("hook", ["service_request", "service_batch_vector"])
+    def test_unresolved_request_raises_naming_its_id(self, tiny_workload, tiny_system, hook):
+        from repro.api.registry import create_system
+
+        system = create_system("pond", tiny_system).set_engine("vector")
+        system.begin_session(tiny_workload)
+        requests = tiny_workload.requests
+        system._vector.load_window(requests[:2])
+        system.service_batch_vector(list(requests[:2]), 0.0, 0)
+        unresolved = requests[2]
+        with pytest.raises(LookupError, match=rf"request {unresolved.request_id}\b"):
+            if hook == "service_request":
+                system.service_request(unresolved, 0.0, 0)
+            else:
+                system.service_batch_vector([unresolved], 0.0, 0)

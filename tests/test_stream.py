@@ -98,6 +98,9 @@ def test_streaming_reconstruction_is_bit_identical(
         window_batches=window_batches,
     )
     assert_requests_equal(eager.requests, chain(*streaming.iter_windows()))
+    # The full window pass recorded the aggregates a separate scan reads.
+    fresh = StreamingWorkload(MemoryBatchStream(batches), MODEL, num_hosts=num_hosts)
+    assert streaming._scan == fresh._scanned()
     # Aggregates agree without materializing a single request.
     assert len(streaming) == len(eager.requests)
     assert streaming.total_lookups == eager.total_lookups
