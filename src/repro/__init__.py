@@ -53,7 +53,6 @@ from repro.baselines import (
     PondSystem,
     RecNMPSystem,
     TPPSystem,
-    create_system,
 )
 from repro.dlrm import DLRM, EmbeddingBagCollection, EmbeddingTable, QueryBatch
 from repro.pifs import PIFSRuntime, PIFSSwitch
@@ -70,6 +69,7 @@ from repro.api import (
     SweepResult,
     UnknownSystemError,
     available_systems,
+    create_system,
     register_system,
 )
 from repro.scenarios import (

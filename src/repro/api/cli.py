@@ -18,14 +18,17 @@ Subcommands:
 * ``scenario`` — the named-scenario catalog (workload mixes, popularity
   drift, trace files, fault injection): ``python -m repro scenario
   list|run|compare`` (``run --all --smoke`` is the CI guard)
-* ``trace`` — observed sessions with Chrome/Perfetto ``trace_event``
-  export: ``python -m repro trace run|serve|scenario ... --out trace.json``
-  (``trace run <system> --smoke`` is the CI guard: quick scale plus
-  schema validation of the emitted trace)
-* ``fleet`` — sharded datacenter-scale simulation: N per-rack systems
-  behind a request router: ``python -m repro fleet run|serve --shards 8
-  --router table-affinity`` (``fleet run --smoke`` is the CI guard)
 * ``systems`` — list the registered systems
+
+Cross-cutting flags rather than extra verbs:
+
+* ``--trace-out PATH`` / ``--metrics-out PATH`` (``run``, ``serve``,
+  ``scenario run``) attach a recorder and export a schema-validated
+  Chrome/Perfetto ``trace_event`` file and flat metrics (exit 1 if the
+  trace fails validation).
+* ``--shards N --router R --fleet-seed S --workers W`` (``run``,
+  ``serve``) split the workload across N per-rack systems behind a request
+  router; a sharded ``run`` exits 1 if the fleet invariants fail.
 
 Also installed as the ``pifs-rec`` console script.
 """
@@ -34,61 +37,59 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.api.registry import UnknownSystemError, available_systems
 from repro.scenarios.registry import UnknownScenarioError
-from repro.api.results import SweepResult
 from repro.api.session import Simulation
 from repro.api.sweep import Sweep
 
 
 def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="run at the reduced 'quick' evaluation scale (smaller models, "
-        "fewer batches; seconds instead of minutes)",
-    )
+    parser.add_argument("--quick", action="store_true",
+                        help="run at the reduced 'quick' evaluation scale (smaller "
+                        "models, fewer batches; seconds instead of minutes)")
 
 
 def _add_machine_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--hosts", type=int, default=None, metavar="N",
-        help="concurrent hosts sharing the CXL pool (default: 1)",
-    )
-    parser.add_argument(
-        "--switches", type=int, default=None, metavar="N",
-        help="fabric switches; hosts and devices are spread across them (default: 1)",
-    )
-    parser.add_argument(
-        "--devices", type=int, default=None, metavar="N",
-        help="CXL Type 3 memory devices behind the switches (default: 4)",
-    )
-    parser.add_argument(
-        "--engine",
-        choices=["scalar", "vector", "packet"],
-        default=None,
-        help="replay fidelity: 'scalar' walks the device models per lookup "
-        "(the oracle), 'vector' resolves lookup batches as numpy arrays "
-        "through flattened kernels — numerically identical, several times "
-        "faster; 'packet' attaches per-port packet queues to every fabric "
-        "link — identical to scalar when uncongested, and reporting "
-        "queue depths, drops and backpressure (default: scalar)",
-    )
+    parser.add_argument("--hosts", type=int, default=None, metavar="N",
+                        help="concurrent hosts sharing the CXL pool (default: 1)")
+    parser.add_argument("--switches", type=int, default=None, metavar="N",
+                        help="fabric switches; hosts and devices are spread across "
+                        "them (default: 1)")
+    parser.add_argument("--devices", type=int, default=None, metavar="N",
+                        help="CXL Type 3 memory devices behind the switches (default: 4)")
+    _add_engine_argument(parser)
     _add_stream_argument(parser)
 
 
+def _add_engine_argument(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--engine", choices=["scalar", "vector", "packet"], default=None,
+                        help="replay fidelity: 'scalar' walks the device models per "
+                        "lookup (the oracle), 'vector' resolves lookup batches as "
+                        "numpy arrays through flattened kernels — numerically "
+                        "identical, several times faster; 'packet' attaches per-port "
+                        "packet queues to every fabric link — identical to scalar "
+                        "when uncongested, and reporting queue depths, drops and "
+                        "backpressure (default: scalar)")
+
+
 def _add_stream_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--stream",
-        action="store_true",
-        help="stream the workload out-of-core: requests are materialized "
-        "window by window (and serve consumes arrivals lazily), so peak "
-        "memory stays proportional to the active window instead of the "
-        "whole trace; every simulated number is bit-identical to the "
-        "eager path",
-    )
+    parser.add_argument("--stream", action="store_true",
+                        help="stream the workload out-of-core: requests are "
+                        "materialized window by window (and serve consumes arrivals "
+                        "lazily), so peak memory stays proportional to the active "
+                        "window instead of the whole trace; every simulated number "
+                        "is bit-identical to the eager path")
+
+
+def _add_pool_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--serial", action="store_true",
+                        help="evaluate in-process instead of the worker pool "
+                        "(results are identical either way)")
+    parser.add_argument("--jobs", type=int, default=None, metavar="N",
+                        help="worker process count (default: one per grid point, "
+                        "capped at the CPU count)")
 
 
 def _base_simulation(args: argparse.Namespace, system: str = "pifs-rec") -> Simulation:
@@ -103,25 +104,64 @@ def _base_simulation(args: argparse.Namespace, system: str = "pifs-rec") -> Simu
         sim.num_batches(args.num_batches)
     if getattr(args, "stream", False):
         sim.stream()
+    if getattr(args, "shards", 0):
+        sim.fleet(args.shards, router=args.router, seed=args.fleet_seed)
     return sim
 
 
-def _print_sweep(result: SweepResult, as_json: bool, metrics: Sequence[str]) -> None:
-    if as_json:
-        print(result.to_json(indent=2))
-    else:
-        print(result.table(metrics=metrics))
+def _add_trace_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--trace-out", default=None, metavar="PATH",
+                        help="record the session and write a Chrome/Perfetto "
+                        "trace_event JSON here (ui.perfetto.dev or "
+                        "chrome://tracing); exit 1 if it fails schema validation")
+    parser.add_argument("--metrics-out", default=None, metavar="PATH",
+                        help="record the session and write its flat metrics here "
+                        "(.csv for CSV, anything else for JSON)")
+
+
+def _add_fleet_arguments(parser: argparse.ArgumentParser) -> None:
+    from repro.fleet import ROUTER_POLICIES
+
+    parser.add_argument("--shards", type=int, default=0, metavar="N",
+                        help="split the workload across N per-rack systems behind "
+                        "a request router (default: 0 = the plain single system; "
+                        "1 is a one-rack fleet, identical to it)")
+    parser.add_argument("--router", choices=list(ROUTER_POLICIES),
+                        default="table-affinity",
+                        help="fleet request routing policy (default: table-affinity)")
+    parser.add_argument("--fleet-seed", type=int, default=0, metavar="SEED",
+                        help="router hashing/tie-break seed (default: 0)")
+    parser.add_argument("--workers", type=int, default=0, metavar="N",
+                        help="worker processes executing fleet shards (default: 0 = "
+                        "in-process serial; results are identical either way)")
+
+
+def _recorder(args: argparse.Namespace, label: str):
+    """A fresh TraceRecorder when a trace flag was given, else ``None``."""
+    if not (args.trace_out or args.metrics_out):
+        return None
+    from repro.obs.recorder import TraceRecorder
+
+    return TraceRecorder(label=label)
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 def _cmd_run(args: argparse.Namespace) -> int:
-    sim = _base_simulation(args, args.system).model(args.model)
+    recorder = _recorder(args, f"run:{args.system}")
+    sim = _base_simulation(args, args.system).model(args.model).observe(recorder)
     if args.batch_size is not None:
         sim.batch_size(args.batch_size)
     if args.distribution is not None:
         sim.distribution(args.distribution)
+    code = _run_fleet(sim, args) if args.shards else _run_single(sim, args)
+    if recorder is not None:
+        code = _write_trace_outputs(recorder, args) or code
+    return code
+
+
+def _run_single(sim: Simulation, args: argparse.Namespace) -> int:
     run = sim.run()
     if args.json:
         print(run.to_json(indent=2))
@@ -154,8 +194,43 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Default comparison set for ``python -m repro serve`` with no systems named.
-DEFAULT_SERVE_SYSTEMS = ("pifs-rec", "pond", "beacon")
+def _run_fleet(sim: Simulation, args: argparse.Namespace) -> int:
+    """A sharded ``run``: the fleet summary, then its two invariants."""
+    from repro.fleet import run_fleet
+
+    result = run_fleet(sim.spec(), workers=args.workers, recorder=sim.recorder)
+    if args.json:
+        print(result.to_json(indent=2))
+    else:
+        print(f"fleet         : {result.num_shards} shard(s) of {result.system}, "
+              f"router {result.router}")
+        print(f"completion    : {result.total_ns:,.0f} ns (slowest shard)")
+        print(f"requests      : {result.requests} ({result.lookups} lookups)")
+        print(f"goodput       : {result.goodput_lookups_per_us:,.2f} lookups/us aggregate")
+        print()
+        _print_fleet_breakdown(result)
+    failures = []
+    if not result.total_ns > 0:
+        failures.append("non-positive fleet completion time")
+    if sum(shard.requests for shard in result.per_shard) != result.requests:
+        failures.append("per-shard requests do not sum to the fleet total")
+    for failure in failures:
+        print(f"fleet failure: {failure}", file=sys.stderr)
+    return 1 if failures else 0
+
+
+def _print_fleet_breakdown(result) -> None:
+    from repro.analysis.report import format_table
+
+    rows = [
+        [row["shard"], row["requests"], row["lookups"], row["total_ns"]]
+        for row in result.shard_breakdown()
+    ]
+    print(format_table(["shard", "requests", "lookups", "total_ns"], rows))
+
+
+#: Default comparison set of ``serve`` and ``scenario compare`` with no systems named.
+DEFAULT_SYSTEMS = ("pifs-rec", "pond", "beacon")
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -168,7 +243,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     elif args.system:
         systems = _dedupe(args.system)
     else:
-        systems = list(DEFAULT_SERVE_SYSTEMS)
+        systems = list(DEFAULT_SYSTEMS)
     if args.smoke:
         args.quick = True
     sla_ns = args.sla_ms * 1e6 if args.sla_ms is not None else None
@@ -180,12 +255,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         seed=args.seed,
         sla_ns=sla_ns,
     )
+    recorder = _recorder(args, "serve:" + ",".join(systems))
     results = []
     failures = []
     for name in systems:
-        sim = _base_simulation(args, name).model(args.model)
+        sim = _base_simulation(args, name).model(args.model).observe(recorder)
         try:
-            result = sim.serve(args.qps, **serve_kwargs)
+            if args.shards:
+                from repro.fleet import serve_fleet
+
+                config = sim._serve_config(args.qps, **serve_kwargs)
+                result = serve_fleet(sim.spec(), config, workers=args.workers,
+                                     recorder=recorder)
+            else:
+                result = sim.serve(args.qps, **serve_kwargs)
         except Exception as error:  # smoke mode reports every broken system
             if not args.smoke:
                 raise
@@ -194,6 +277,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if not result.latency.is_finite():
             failures.append(f"{name}: non-finite latency percentile")
             continue
+        if result.requests <= 0:
+            failures.append(f"{name}: served zero requests")
+            continue
         results.append((name, result))
 
     sla_sweeps = {}
@@ -201,19 +287,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if sla_ns is None:
             print("error: --find-max-qps requires --sla-ms", file=sys.stderr)
             return 2
-        bounds = (args.qps_min, args.qps_max)
+        del serve_kwargs["sla_ns"]
         for name in systems:
-            sweep = (
-                _base_simulation(args, name)
-                .model(args.model)
-                .sla_sweep(
-                    sla_ns,
-                    bounds,
-                    arrival=args.arrival,
-                    max_batch_size=args.max_batch,
-                    max_wait_ns=args.max_wait_us * 1e3,
-                    seed=args.seed,
-                )
+            sweep = _base_simulation(args, name).model(args.model).sla_sweep(
+                sla_ns, (args.qps_min, args.qps_max), **serve_kwargs
             )
             if not math.isfinite(sweep.max_sustainable_qps):
                 failures.append(f"{name}: non-finite sustainable QPS")
@@ -231,15 +308,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(json.dumps(payload, indent=2))
     else:
         rows = [
-            [
-                name,
-                result.latency.p50_ns,
-                result.latency.p95_ns,
-                result.latency.p99_ns,
-                result.goodput_qps,
-                result.sla_attainment,
-                result.max_queue_depth,
-            ]
+            [name, result.latency.p50_ns, result.latency.p95_ns, result.latency.p99_ns,
+             result.goodput_qps, result.sla_attainment,
+             max(shard.max_queue_depth for shard in result.per_shard)
+             if args.shards else result.max_queue_depth]
             for name, result in results
         ]
         print(
@@ -247,29 +319,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"{args.arrival} arrivals, batch<= {args.max_batch}, "
             f"max wait {args.max_wait_us:,.0f} us"
             + (f", SLA {args.sla_ms} ms" if args.sla_ms is not None else "")
+            + (f", {args.shards} shard(s) routed by {args.router}" if args.shards else "")
         )
         print(format_table(
             ["system", "p50_ns", "p95_ns", "p99_ns", "goodput_qps", "sla_attain", "max_queue"],
             rows,
         ))
-        net_rows = [
-            [
-                name,
-                result.sim.net.packets,
-                result.sim.net.max_queue_depth,
-                result.sim.net.drops,
-                result.sim.net.retries,
-                result.sim.net.backpressure_ns,
-            ]
-            for name, result in results
-            if result.sim is not None and result.sim.net is not None
-        ]
-        if net_rows:
+        nets = [(name, result.sim.net) for name, result in results
+                if result.sim is not None and result.sim.net is not None]
+        if nets:
             print()
             print("packet tier (per-port queues on every fabric link):")
             print(format_table(
                 ["system", "packets", "max_depth", "drops", "retries", "backpressure_ns"],
-                net_rows,
+                [[name, net.packets, net.max_queue_depth, net.drops, net.retries,
+                  net.backpressure_ns] for name, net in nets],
             ))
         if sla_sweeps:
             print()
@@ -284,7 +348,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     for failure in failures:
         print(f"serve failure: {failure}", file=sys.stderr)
-    return 1 if failures else 0
+    code = 1 if failures else 0
+    if recorder is not None:
+        code = _write_trace_outputs(recorder, args) or code
+    return code
 
 
 def _dedupe(values):
@@ -292,33 +359,35 @@ def _dedupe(values):
     return list(dict.fromkeys(values))
 
 
+def _baseline_at(run, baseline_runs):
+    """The baseline run at ``run``'s coordinates other than the system, or ``None``."""
+    coords = {key: value for key, value in run.params.items() if key != "system"}
+    return next((
+        b for b in baseline_runs
+        if {key: value for key, value in b.params.items() if key != "system"} == coords
+    ), None)
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    over = {}
-    if args.system:
-        over["system"] = _dedupe(args.system)
-    if args.model:
-        over["model"] = _dedupe(args.model)
-    if args.batch_size:
-        over["batch_size"] = _dedupe(args.batch_size)
-    if args.distribution:
-        over["distribution"] = _dedupe(args.distribution)
+    axes = (("system", args.system), ("model", args.model),
+            ("batch_size", args.batch_size), ("distribution", args.distribution))
+    over = {axis: _dedupe(values) for axis, values in axes if values}
     if not over:
         over = {"system": list(available_systems())}
     result = Sweep(over, base=_base_simulation(args)).run(parallel=not args.serial, processes=args.jobs)
-    _print_sweep(result, args.json, metrics=("total_ns", "latency_per_lookup_ns"))
-    if not args.json and over.get("system") and len(over["system"]) > 1:
-        baseline_runs = result.where(system=over["system"][0])
-        print()
+    if args.json:
+        print(result.to_json(indent=2))
+        return 0
+    print(result.table(metrics=("total_ns", "latency_per_lookup_ns")))
+    if len(over.get("system", ())) > 1:
         baseline_name = over["system"][0]
+        baseline_runs = result.where(system=baseline_name)
+        print()
         print(f"speedup over {baseline_name!r} at equal coordinates:")
         for run in result:
             if run.params["system"] == baseline_name:
                 continue
-            reference = next(
-                b for b in baseline_runs
-                if {k: v for k, v in b.params.items() if k != "system"}
-                == {k: v for k, v in run.params.items() if k != "system"}
-            )
+            reference = _baseline_at(run, baseline_runs)
             coords = ", ".join(
                 f"{key}={value}" for key, value in run.params.items()
                 if key != "system" and len(result.axis_values(key)) > 1
@@ -343,14 +412,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     from repro.analysis.report import format_table
 
     rows = [
-        [
-            run.params["system"],
-            run.total_ns,
-            norm,
-            baseline.total_ns / run.total_ns,
-            run.sim.local_rows,
-            run.sim.cxl_rows,
-        ]
+        [run.params["system"], run.total_ns, norm, baseline.total_ns / run.total_ns,
+         run.sim.local_rows, run.sim.cxl_rows]
         for run, norm in zip(result, normalized)
     ]
     print(f"model {args.model}, batch {result[0].params['batch_size']}, "
@@ -394,11 +457,8 @@ def _bench_directory():
     """
     import pathlib
 
-    candidates = (
-        pathlib.Path.cwd() / "benchmarks",
-        pathlib.Path(__file__).resolve().parents[3] / "benchmarks",
-    )
-    for candidate in candidates:
+    for candidate in (pathlib.Path.cwd() / "benchmarks",
+                      pathlib.Path(__file__).resolve().parents[3] / "benchmarks"):
         if (candidate / "conftest.py").is_file():
             return candidate
     return None
@@ -410,19 +470,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     try:
         import pytest
     except ImportError:  # pragma: no cover - dev-only dependency
-        print(
-            "error: the bench subcommand needs pytest and pytest-benchmark "
-            "(pip install pytest pytest-benchmark)",
-            file=sys.stderr,
-        )
+        print("error: the bench subcommand needs pytest and pytest-benchmark "
+              "(pip install pytest pytest-benchmark)", file=sys.stderr)
         return 2
     bench_dir = _bench_directory()
     if bench_dir is None:
-        print(
-            "error: benchmarks/ directory not found — run from a source "
-            "checkout of the repository",
-            file=sys.stderr,
-        )
+        print("error: benchmarks/ directory not found — run from a source "
+              "checkout of the repository", file=sys.stderr)
         return 2
     if args.smoke:
         os.environ["REPRO_BENCH_SMOKE"] = "1"
@@ -438,10 +492,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     )
     print(f"running benchmarks in {mode}")
     return int(pytest.main([*targets, "-q", "-s"]))
-
-
-#: Default comparison set for ``python -m repro scenario compare``.
-DEFAULT_COMPARE_SYSTEMS = ("pifs-rec", "pond", "beacon")
 
 
 def _print_scenario_run(name: str, run) -> None:
@@ -493,10 +543,7 @@ def _cmd_scenario_run(args: argparse.Namespace) -> int:
         return 2
     if args.smoke:
         args.quick = True
-    session_kwargs = dict(
-        system=args.system, engine=args.engine, quick=args.quick,
-        stream=args.stream,
-    )
+    session_kwargs = dict(system=args.system, engine=args.engine, quick=args.quick)
 
     if args.export_trace:
         if len(names) != 1:
@@ -504,11 +551,18 @@ def _cmd_scenario_run(args: argparse.Namespace) -> int:
             return 2
         from repro.traces.files import save_workload_trace
 
+        # Exports the eager build even under --stream: eager and streamed
+        # replays see the identical trace, and only the eager one holds it.
         workload = scenario(names[0]).simulation(**session_kwargs).build_workload()
         path = save_workload_trace(workload, args.export_trace)
         print(f"exported {len(workload.requests)} requests "
               f"({workload.total_lookups} lookups) to {path}")
         return 0
+
+    # One recorder for every run and serve, so the exported timeline shows
+    # serve batching next to the engine and packet spans.
+    recorder = _recorder(args, "scenario:" + ",".join(names))
+    session_kwargs.update(stream=args.stream, observe=recorder)
 
     payloads = []
     failures = []
@@ -545,7 +599,10 @@ def _cmd_scenario_run(args: argparse.Namespace) -> int:
         print(json.dumps(payloads, indent=2))
     for failure in failures:
         print(f"scenario failure: {failure}", file=sys.stderr)
-    return 1 if failures else 0
+    code = 1 if failures else 0
+    if recorder is not None:
+        code = _write_trace_outputs(recorder, args) or code
+    return code
 
 
 def _cmd_scenario_compare(args: argparse.Namespace) -> int:
@@ -556,7 +613,7 @@ def _cmd_scenario_compare(args: argparse.Namespace) -> int:
     if len(names) > 1:
         return _compare_scenarios(names, args)
     entry = scenario(names[0])
-    systems = _dedupe(args.system) if args.system else list(DEFAULT_COMPARE_SYSTEMS)
+    systems = _dedupe(args.system) if args.system else list(DEFAULT_SYSTEMS)
     sweep = entry.sweep(systems=systems, engine=args.engine, quick=args.quick,
                         stream=args.stream)
     result = sweep.run(parallel=not args.serial, processes=args.jobs)
@@ -573,14 +630,7 @@ def _cmd_scenario_compare(args: argparse.Namespace) -> int:
     baseline_runs = result.where(system=baseline_system)
     rows = []
     for run in result:
-        reference = next(
-            (
-                b for b in baseline_runs
-                if {k: v for k, v in b.params.items() if k != "system"}
-                == {k: v for k, v in run.params.items() if k != "system"}
-            ),
-            None,
-        )
+        reference = _baseline_at(run, baseline_runs)
         rows.append(
             [run.params.get(axis, "") for axis in axis_names]
             + [
@@ -654,185 +704,45 @@ def _compare_scenarios(names, args: argparse.Namespace) -> int:
 
 
 def _write_trace_outputs(recorder, args: argparse.Namespace) -> int:
-    """Validate, report and export an observed session's recorder.
+    """Validate, report and export a recorded session (the trace flags' tail).
 
-    Shared tail of every ``trace`` subcommand: schema-validate the
-    Chrome/Perfetto export (non-empty ``traceEvents``, required keys),
-    write ``--out`` / ``--metrics-out``, and print the wall-clock phase
-    attribution.  Returns 1 when the trace fails validation.
+    Schema-validates the Chrome/Perfetto export (non-empty
+    ``traceEvents``, required keys), writes ``--trace-out`` /
+    ``--metrics-out`` and prints the wall-clock phase attribution — on
+    stderr under ``--json``, so stdout stays one JSON document.  Returns
+    1 when the trace fails validation.
     """
     from repro.analysis.report import format_table
     from repro.obs.recorder import validate_chrome_trace
 
+    out = sys.stderr if getattr(args, "json", False) else sys.stdout
     problems = validate_chrome_trace(recorder.to_chrome_trace())
     suffix = f" ({recorder.dropped} dropped)" if recorder.dropped else ""
-    if args.out:
-        path = recorder.write_chrome_trace(args.out)
+    if args.trace_out:
+        path = recorder.write_chrome_trace(args.trace_out)
         print(f"trace   : {len(recorder)} events{suffix} -> {path} "
-              "(load in https://ui.perfetto.dev or chrome://tracing)")
+              "(load in https://ui.perfetto.dev or chrome://tracing)", file=out)
     else:
-        print(f"trace   : {len(recorder)} events{suffix} (pass --out to export)")
+        print(f"trace   : {len(recorder)} events{suffix} (pass --trace-out to export)",
+              file=out)
     if args.metrics_out:
         if str(args.metrics_out).lower().endswith(".csv"):
             path = recorder.write_metrics_csv(args.metrics_out)
         else:
             path = recorder.write_metrics_json(args.metrics_out)
-        print(f"metrics : {len(recorder.metrics())} series -> {path}")
+        print(f"metrics : {len(recorder.metrics())} series -> {path}", file=out)
     phases = [
         [name[len("phase."):-len("_ms")], value]
         for name, value in recorder.metrics().items()
         if name.startswith("phase.") and name.endswith("_ms")
     ]
     if phases:
-        print()
-        print("self-profile (wall-clock attribution):")
-        print(format_table(["phase", "wall_ms"], phases, float_format="{:,.3f}"))
+        print(file=out)
+        print("self-profile (wall-clock attribution):", file=out)
+        print(format_table(["phase", "wall_ms"], phases, float_format="{:,.3f}"), file=out)
     for problem in problems:
         print(f"trace schema: {problem}", file=sys.stderr)
     return 1 if problems else 0
-
-
-def _cmd_trace_run(args: argparse.Namespace) -> int:
-    from repro.obs.recorder import TraceRecorder
-
-    if args.smoke:
-        args.quick = True
-    recorder = TraceRecorder(label=f"run:{args.system}")
-    sim = _base_simulation(args, args.system).model(args.model).observe(recorder)
-    if args.batch_size is not None:
-        sim.batch_size(args.batch_size)
-    run = sim.run()
-    print(f"system  : {run.system}  engine {run.params.get('engine') or 'scalar'}, "
-          f"{run.sim.lookups} lookups, {run.total_ns:,.0f} ns")
-    return _write_trace_outputs(recorder, args)
-
-
-def _cmd_trace_serve(args: argparse.Namespace) -> int:
-    from repro.obs.recorder import TraceRecorder
-
-    if args.smoke:
-        args.quick = True
-    recorder = TraceRecorder(label=f"serve:{args.system}")
-    sim = _base_simulation(args, args.system).model(args.model).observe(recorder)
-    result = sim.serve(
-        args.qps,
-        arrival=args.arrival,
-        max_batch_size=args.max_batch,
-        max_wait_ns=args.max_wait_us * 1e3,
-        seed=args.seed,
-    )
-    print(f"system  : {args.system}  {args.qps:,.0f} qps {args.arrival}, "
-          f"{result.requests} requests in {result.batches} batches, "
-          f"p99 {result.latency.p99_ns:,.0f} ns")
-    return _write_trace_outputs(recorder, args)
-
-
-def _cmd_trace_scenario(args: argparse.Namespace) -> int:
-    from repro.obs.recorder import TraceRecorder
-    from repro.scenarios import scenario
-
-    if args.smoke:
-        args.quick = True
-    entry = scenario(args.name)
-    recorder = TraceRecorder(label=f"scenario:{args.name}")
-    session_kwargs = dict(system=args.system, engine=args.engine, quick=args.quick,
-                          stream=args.stream)
-    sim = entry.simulation(**session_kwargs).observe(recorder)
-    run = sim.run()
-    print(f"scenario: {args.name}  [{entry.dimensions()}]")
-    print(f"run     : {run.params['system']}  {run.total_ns:,.0f} ns, "
-          f"{run.sim.lookups} lookups")
-    if not args.no_serve:
-        # The open-loop session lands on the same recorder, so the exported
-        # timeline shows serve batching next to the engine/packet spans.
-        serve_result = entry.serve(**session_kwargs, observe=recorder)
-        print(f"serve   : {serve_result.requests} requests in "
-              f"{serve_result.batches} batches, "
-              f"p99 {serve_result.latency.p99_ns:,.0f} ns")
-    return _write_trace_outputs(recorder, args)
-
-
-def _fleet_simulation(args: argparse.Namespace) -> Simulation:
-    """The fleet-shaped session shared by ``fleet run`` and ``fleet serve``."""
-    if args.smoke:
-        args.quick = True
-    sim = _base_simulation(args, args.system).model(args.model)
-    if getattr(args, "batch_size", None) is not None:
-        sim.batch_size(args.batch_size)
-    if getattr(args, "distribution", None) is not None:
-        sim.distribution(args.distribution)
-    sim.fleet(args.shards, router=args.router, seed=args.fleet_seed)
-    return sim
-
-
-def _print_fleet_breakdown(result) -> None:
-    from repro.analysis.report import format_table
-
-    rows = [
-        [row["shard"], row["requests"], row["lookups"], row["total_ns"]]
-        for row in result.shard_breakdown()
-    ]
-    print(format_table(["shard", "requests", "lookups", "total_ns"], rows))
-
-
-def _cmd_fleet_run(args: argparse.Namespace) -> int:
-    from repro.fleet import run_fleet
-
-    sim = _fleet_simulation(args)
-    result = run_fleet(sim.spec(), workers=args.workers)
-    if args.json:
-        print(result.to_json(indent=2))
-        return 0
-    print(f"fleet         : {result.num_shards} shard(s) of {result.system}, "
-          f"router {result.router}")
-    print(f"completion    : {result.total_ns:,.0f} ns (slowest shard)")
-    print(f"requests      : {result.requests} ({result.lookups} lookups)")
-    print(f"goodput       : {result.goodput_lookups_per_us:,.2f} lookups/us aggregate")
-    print()
-    _print_fleet_breakdown(result)
-    if args.smoke:
-        failures = []
-        if not result.total_ns > 0:
-            failures.append("non-positive fleet completion time")
-        if sum(sim_.requests for sim_ in result.per_shard) != result.requests:
-            failures.append("per-shard requests do not sum to the fleet total")
-        for failure in failures:
-            print(f"fleet smoke failure: {failure}", file=sys.stderr)
-        return 1 if failures else 0
-    return 0
-
-
-def _cmd_fleet_serve(args: argparse.Namespace) -> int:
-    from repro.fleet import serve_fleet
-
-    sim = _fleet_simulation(args)
-    config = sim._serve_config(
-        args.qps, args.arrival, args.max_batch, args.max_wait_us * 1e3,
-        args.seed, args.sla_ms * 1e6 if args.sla_ms is not None else None,
-    )
-    result = serve_fleet(sim.spec(), config, workers=args.workers)
-    if args.json:
-        print(result.to_json(indent=2))
-        return 0
-    latency = result.latency
-    print(f"fleet         : {result.num_shards} shard(s) of {result.system}, "
-          f"router {result.router}")
-    print(f"offered       : {result.qps:,.0f} qps {args.arrival}, "
-          f"achieved {result.achieved_qps:,.0f} qps over {result.requests} requests")
-    print(f"latency       : p50 {latency.p50_ns:,.0f} ns, p95 {latency.p95_ns:,.0f} ns, "
-          f"p99 {latency.p99_ns:,.0f} ns, p99.9 {latency.p999_ns:,.0f} ns")
-    print(f"goodput       : {result.goodput_qps:,.0f} qps"
-          + (f" ({result.sla_attainment:.1%} within SLA)" if result.sla_ns else ""))
-    if args.smoke:
-        failures = []
-        if not latency.is_finite():
-            failures.append("non-finite fleet latency percentile")
-        if result.requests <= 0:
-            failures.append("fleet served zero requests")
-        for failure in failures:
-            print(f"fleet smoke failure: {failure}", file=sys.stderr)
-        return 1 if failures else 0
-    return 0
 
 
 def _cmd_systems(args: argparse.Namespace) -> int:
@@ -858,25 +768,30 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="Use 'python -m repro <command> --help' for per-command options and "
         "examples.  Also installed as the 'pifs-rec' console script.",
     )
-    parser.add_argument(
-        "--log-level",
-        choices=["debug", "info", "warning", "error"],
-        default=None,
-        metavar="LEVEL",
-        help="configure the 'repro' logger namespace and print diagnostics to "
-        "stderr: debug | info | warning | error (default: logging stays off)",
-    )
+    parser.add_argument("--log-level", choices=["debug", "info", "warning", "error"],
+                        default=None, metavar="LEVEL",
+                        help="configure the 'repro' logger namespace and print "
+                        "diagnostics to stderr: debug | info | warning | error "
+                        "(default: logging stays off)")
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     run = subparsers.add_parser(
         "run",
         help="run one closed-loop simulation session",
         description="Replay one SLS workload on one registered system and print the "
-        "resulting latency, per-lookup cost and local/CXL row split.",
+        "resulting latency, per-lookup cost and local/CXL row split.  --shards "
+        "replays it across a sharded fleet instead (fleet summary plus per-shard "
+        "breakdown; exit 1 if the completion time is not positive or the shards' "
+        "requests do not sum to the fleet total).  --trace-out / --metrics-out "
+        "record the session; recording never changes the results.",
         epilog="examples:\n"
         "  python -m repro run pifs-rec --quick\n"
         "  python -m repro run pond --model RMC4 --batch-size 64 --engine vector\n"
-        "  python -m repro run recnmp --distribution zipfian --json",
+        "  python -m repro run recnmp --distribution zipfian --json\n"
+        "  python -m repro run pifs-rec --engine vector --quick --trace-out trace.json\n"
+        "  python -m repro run pifs-rec --quick --shards 8 --router table-affinity\n"
+        "  python -m repro run pifs-rec --quick --shards 8 --router hash --stream "
+        "--workers 4",
         formatter_class=raw,
     )
     run.add_argument("system", help="registered system name (list them with 'systems')")
@@ -891,7 +806,10 @@ def build_parser() -> argparse.ArgumentParser:
                      "(default: meta)")
     _add_machine_arguments(run)
     _add_scale_arguments(run)
-    run.add_argument("--json", action="store_true", help="print the RunResult as JSON")
+    _add_fleet_arguments(run)
+    _add_trace_arguments(run)
+    run.add_argument("--json", action="store_true",
+                     help="print the RunResult (FleetResult with --shards) as JSON")
     run.set_defaults(func=_cmd_run)
 
     sweep = subparsers.add_parser(
@@ -918,12 +836,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="batches replayed at every grid point")
     _add_machine_arguments(sweep)
     _add_scale_arguments(sweep)
-    sweep.add_argument("--serial", action="store_true",
-                       help="evaluate the grid in-process instead of the worker pool "
-                       "(results are identical either way)")
-    sweep.add_argument("--jobs", type=int, default=None, metavar="N",
-                       help="worker process count (default: one per grid point, capped "
-                       "at the CPU count)")
+    _add_pool_arguments(sweep)
     sweep.add_argument("--json", action="store_true", help="print the SweepResult as JSON")
     sweep.set_defaults(func=_cmd_sweep)
 
@@ -933,15 +846,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Serve the workload open-loop: requests arrive on a seeded "
         "arrival process at --qps, queue per host, are dynamically batched and "
         "serviced on the host thread lanes.  Reports latency percentiles "
-        "(p50..p99.9), goodput, SLA attainment and queue depths per system.",
+        "(p50..p99.9), goodput, SLA attainment and queue depths per system.  "
+        "With --shards every system is a sharded fleet: each rack serves the "
+        "arrivals for its router-assigned requests and the percentiles pool "
+        "every shard's samples.",
         epilog="examples:\n"
         "  python -m repro serve pifs-rec pond --qps 2e5 --sla-ms 5 --quick\n"
         "  python -m repro serve --all --smoke --qps 3e5 --sla-ms 1   # CI guard\n"
-        "  python -m repro serve pifs-rec --find-max-qps --sla-ms 2 --quick",
+        "  python -m repro serve pifs-rec --find-max-qps --sla-ms 2 --quick\n"
+        "  python -m repro serve pond --qps 2e5 --quick --trace-out serve.json "
+        "--metrics-out serve.csv\n"
+        "  python -m repro serve pifs-rec --shards 4 --qps 4e5 --sla-ms 5 --quick",
         formatter_class=raw,
     )
     serve.add_argument("system", nargs="*", default=[],
-                       help=f"systems to serve (default: {' '.join(DEFAULT_SERVE_SYSTEMS)})")
+                       help=f"systems to serve (default: {' '.join(DEFAULT_SYSTEMS)})")
     serve.add_argument("--all", action="store_true", help="serve every registered system")
     serve.add_argument("--smoke", action="store_true",
                        help="CI guard: quick scale, keep going past failures, exit 1 on any")
@@ -970,6 +889,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="upper QPS bound of --find-max-qps (default: 2e6)")
     _add_machine_arguments(serve)
     _add_scale_arguments(serve)
+    _add_fleet_arguments(serve)
+    _add_trace_arguments(serve)
     serve.add_argument("--json", action="store_true", help="print ServeResults as JSON")
     serve.set_defaults(func=_cmd_serve)
 
@@ -995,10 +916,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="system speedups are computed against (default: pond)")
     _add_machine_arguments(compare)
     _add_scale_arguments(compare)
-    compare.add_argument("--serial", action="store_true",
-                         help="evaluate in-process instead of the worker pool")
-    compare.add_argument("--jobs", type=int, default=None, metavar="N",
-                         help="worker process count")
+    _add_pool_arguments(compare)
     compare.add_argument("--json", action="store_true", help="print the SweepResult as JSON")
     compare.set_defaults(func=_cmd_compare)
 
@@ -1030,28 +948,16 @@ def build_parser() -> argparse.ArgumentParser:
         "  python -m repro bench --all                # also the paper-figure suite",
         formatter_class=raw,
     )
-    bench.add_argument(
-        "--suite",
-        action="append",
-        choices=sorted(BENCH_SUITES),
-        default=None,
-        metavar="NAME",
-        help="perf suite to run (repeatable): "
-        + " | ".join(sorted(BENCH_SUITES))
-        + " (default: every suite)",
-    )
-    bench.add_argument(
-        "--all",
-        action="store_true",
-        help="run the entire benchmarks/ directory (adds the per-figure "
-        "regeneration suites; takes minutes)",
-    )
-    bench.add_argument(
-        "--smoke",
-        action="store_true",
-        help="smoke mode: sets REPRO_BENCH_SMOKE=1 (short runs, relaxed "
-        "floors, baselines untouched)",
-    )
+    bench.add_argument("--suite", action="append", choices=sorted(BENCH_SUITES),
+                       default=None, metavar="NAME",
+                       help="perf suite to run (repeatable): "
+                       + " | ".join(sorted(BENCH_SUITES)) + " (default: every suite)")
+    bench.add_argument("--all", action="store_true",
+                       help="run the entire benchmarks/ directory (adds the "
+                       "per-figure regeneration suites; takes minutes)")
+    bench.add_argument("--smoke", action="store_true",
+                       help="smoke mode: sets REPRO_BENCH_SMOKE=1 (short runs, "
+                       "relaxed floors, baselines untouched)")
     bench.set_defaults(func=_cmd_bench)
 
     scenario = subparsers.add_parser(
@@ -1091,11 +997,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one or more scenarios (closed-loop; --serve adds open-loop)",
         description="Execute named scenarios deterministically.  Results are "
         "bit-identical between --engine scalar and --engine vector; --smoke is "
-        "the CI guard (quick scale, keep going past failures, exit 1 on any).",
+        "the CI guard (quick scale, keep going past failures, exit 1 on any).  "
+        "--trace-out records every run (and --serve session) on one timeline.",
         epilog="examples:\n"
         "  python -m repro scenario run fault-buffer-squeeze --quick\n"
         "  python -m repro scenario run tenant-mix --system pond --engine vector\n"
-        "  python -m repro scenario run --all --smoke",
+        "  python -m repro scenario run --all --smoke\n"
+        "  python -m repro scenario run hot-table-nmp-storm --quick --serve "
+        "--trace-out trace.json",
         formatter_class=raw,
     )
     scenario_run.add_argument("name", nargs="*", default=[],
@@ -1107,20 +1016,19 @@ def build_parser() -> argparse.ArgumentParser:
                               "exit 1 on any")
     scenario_run.add_argument("--system", default=None, metavar="NAME",
                               help="override the scenario's system under test")
-    scenario_run.add_argument("--engine", choices=["scalar", "vector", "packet"],
-                              default=None,
-                              help="replay fidelity (scenario results are bit-identical "
-                              "between scalar, vector and uncongested packet)")
+    _add_engine_argument(scenario_run)
     scenario_run.add_argument("--serve", action="store_true",
                               help="also serve the scenario open-loop under its "
                               "traffic spec (tail-latency metrics)")
     scenario_run.add_argument("--export-trace", default=None, metavar="PATH",
                               help="export the scenario's workload trace as a "
-                              "lossless .npz archive instead of running it")
+                              "lossless .npz archive instead of running it (built "
+                              "eagerly: the trace is the same with --stream)")
     scenario_run.add_argument("--json", action="store_true",
                               help="print scenario + result payloads as JSON")
     _add_scale_arguments(scenario_run)
     _add_stream_argument(scenario_run)
+    _add_trace_arguments(scenario_run)
     scenario_run.set_defaults(func=_cmd_scenario_run)
 
     scenario_compare = scenario_commands.add_parser(
@@ -1145,220 +1053,14 @@ def build_parser() -> argparse.ArgumentParser:
     scenario_compare.add_argument("--system", action="append", default=None,
                                   metavar="NAME",
                                   help="system to include (repeatable; default: "
-                                  + " ".join(DEFAULT_COMPARE_SYSTEMS) + ")")
-    scenario_compare.add_argument("--engine", choices=["scalar", "vector", "packet"],
-                                  default=None,
-                                  help="replay fidelity for every grid point")
-    scenario_compare.add_argument("--serial", action="store_true",
-                                  help="evaluate in-process instead of the worker pool")
-    scenario_compare.add_argument("--jobs", type=int, default=None, metavar="N",
-                                  help="worker process count")
+                                  + " ".join(DEFAULT_SYSTEMS) + ")")
+    _add_engine_argument(scenario_compare)
+    _add_pool_arguments(scenario_compare)
     scenario_compare.add_argument("--json", action="store_true",
                                   help="print the SweepResult as JSON")
     _add_scale_arguments(scenario_compare)
     _add_stream_argument(scenario_compare)
     scenario_compare.set_defaults(func=_cmd_scenario_compare)
-
-    trace = subparsers.add_parser(
-        "trace",
-        help="run an observed session and export a Chrome/Perfetto trace",
-        description="Attach a TraceRecorder (repro.obs) to one session — "
-        "closed-loop, open-loop serving, or a named scenario — and export "
-        "the captured spans/counters as Chrome trace_event JSON (--out, "
-        "loadable in ui.perfetto.dev or chrome://tracing) plus flat metrics "
-        "(--metrics-out, .json or .csv).  Recording never perturbs results: "
-        "observed runs stay bit-identical to unobserved ones.",
-        epilog="examples:\n"
-        "  python -m repro trace run pifs-rec --engine vector --quick --out trace.json\n"
-        "  python -m repro trace serve pond --qps 2e5 --out serve.json "
-        "--metrics-out serve.csv\n"
-        "  python -m repro trace scenario hot-table-nmp-storm --out trace.json\n"
-        "  python -m repro trace run pond --smoke            # CI guard",
-        formatter_class=raw,
-    )
-    trace_commands = trace.add_subparsers(dest="trace_command", required=True)
-
-    def _add_trace_outputs(subparser: argparse.ArgumentParser) -> None:
-        subparser.add_argument("--out", default=None, metavar="PATH",
-                               help="write the Chrome/Perfetto trace_event JSON here")
-        subparser.add_argument("--metrics-out", default=None, metavar="PATH",
-                               help="write the flat metrics here (.csv for CSV, "
-                               "anything else for JSON)")
-        subparser.add_argument("--smoke", action="store_true",
-                               help="CI guard: quick scale; exit 1 if the emitted "
-                               "trace fails trace_event schema validation")
-
-    trace_run = trace_commands.add_parser(
-        "run",
-        help="observe one closed-loop session",
-        description="Run one closed-loop session with a TraceRecorder attached: "
-        "session/request/maintenance spans, kernel counters, packet-tier "
-        "bridging (with --engine packet) and wall-clock phase attribution.",
-        epilog="example:\n"
-        "  python -m repro trace run pifs-rec --engine vector --quick --out trace.json",
-        formatter_class=raw,
-    )
-    trace_run.add_argument("system", help="registered system name")
-    trace_run.add_argument("--model", default="RMC1", metavar="RMC",
-                           help="DLRM model: RMC1..RMC4 (default: RMC1)")
-    trace_run.add_argument("--batch-size", type=int, default=None, metavar="N",
-                           help="queries per inference batch")
-    trace_run.add_argument("--num-batches", type=int, default=None, metavar="N",
-                           help="number of batches replayed")
-    _add_machine_arguments(trace_run)
-    _add_scale_arguments(trace_run)
-    _add_trace_outputs(trace_run)
-    trace_run.set_defaults(func=_cmd_trace_run)
-
-    trace_serve = trace_commands.add_parser(
-        "serve",
-        help="observe one open-loop serving session",
-        description="Serve one system open-loop with a TraceRecorder attached: "
-        "admission/batch/wait spans per host lane, queue-depth counters, and "
-        "the engine's per-request spans on the same timeline.",
-        epilog="example:\n"
-        "  python -m repro trace serve pond --qps 2e5 --arrival bursty --out serve.json",
-        formatter_class=raw,
-    )
-    trace_serve.add_argument("system", help="registered system name")
-    trace_serve.add_argument("--model", default="RMC1", metavar="RMC",
-                             help="DLRM model: RMC1..RMC4 (default: RMC1)")
-    trace_serve.add_argument("--qps", type=float, default=2e5, metavar="QPS",
-                             help="offered load in requests/s (default: 2e5)")
-    trace_serve.add_argument("--arrival", default="poisson", metavar="NAME",
-                             help="arrival process: constant | poisson | bursty | "
-                             "mmpp | diurnal (default: poisson)")
-    trace_serve.add_argument("--max-batch", type=int, default=8, metavar="N",
-                             help="dynamic batcher max batch size (default: 8)")
-    trace_serve.add_argument("--max-wait-us", type=float, default=100.0, metavar="US",
-                             help="dynamic batcher max wait in microseconds (default: 100)")
-    trace_serve.add_argument("--seed", type=int, default=None, metavar="SEED",
-                             help="arrival-process seed (default: the scale's seed)")
-    trace_serve.add_argument("--num-batches", type=int, default=None, metavar="N",
-                             help="batches in the served workload")
-    _add_machine_arguments(trace_serve)
-    _add_scale_arguments(trace_serve)
-    _add_trace_outputs(trace_serve)
-    trace_serve.set_defaults(func=_cmd_trace_serve)
-
-    trace_scenario = trace_commands.add_parser(
-        "scenario",
-        help="observe a named scenario (closed-loop + its traffic spec)",
-        description="Run a catalog scenario closed-loop AND serve it open-loop "
-        "under its traffic spec, both on one shared TraceRecorder — the "
-        "exported timeline shows serve batching, engine/kernel spans and "
-        "packet-queue backpressure together.  --no-serve keeps it closed-loop "
-        "only.",
-        epilog="example:\n"
-        "  python -m repro trace scenario hot-table-nmp-storm --out trace.json",
-        formatter_class=raw,
-    )
-    trace_scenario.add_argument("name",
-                                help="scenario name (list them with 'scenario list')")
-    trace_scenario.add_argument("--system", default=None, metavar="NAME",
-                                help="override the scenario's system under test")
-    trace_scenario.add_argument("--engine", choices=["scalar", "vector", "packet"],
-                                default=None, help="replay fidelity override")
-    trace_scenario.add_argument("--no-serve", action="store_true",
-                                help="skip the open-loop serving pass")
-    _add_scale_arguments(trace_scenario)
-    _add_stream_argument(trace_scenario)
-    _add_trace_outputs(trace_scenario)
-    trace_scenario.set_defaults(func=_cmd_trace_scenario)
-
-    fleet = subparsers.add_parser(
-        "fleet",
-        help="simulate a sharded fleet of systems behind a request router",
-        description="Compose N per-rack systems (repro.fleet) — each with its "
-        "own fabric and its shard of the partitioned table space — behind a "
-        "request router (hash | power-of-two-choices | table-affinity) and "
-        "replay or serve one workload across them.  Shards execute on the "
-        "persistent worker pool with --workers; results are identical for "
-        "any worker count, and a 1-shard fleet is bit-identical to the "
-        "plain single-system run.",
-        epilog="examples:\n"
-        "  python -m repro fleet run --shards 8 --router table-affinity --quick\n"
-        "  python -m repro fleet run --shards 4 --router hash --stream --workers 4\n"
-        "  python -m repro fleet serve --shards 4 --qps 4e5 --sla-ms 5 --quick\n"
-        "  python -m repro fleet run --smoke                  # CI guard",
-        formatter_class=raw,
-    )
-    fleet_commands = fleet.add_subparsers(dest="fleet_command", required=True)
-
-    def _add_fleet_arguments(subparser: argparse.ArgumentParser) -> None:
-        from repro.fleet import ROUTER_POLICIES
-
-        subparser.add_argument("system", nargs="?", default="pifs-rec",
-                               help="registered system per shard (default: pifs-rec)")
-        subparser.add_argument("--shards", type=int, default=4, metavar="N",
-                               help="per-rack systems in the fleet (default: 4)")
-        subparser.add_argument("--router", choices=list(ROUTER_POLICIES),
-                               default="table-affinity",
-                               help="request routing policy (default: table-affinity)")
-        subparser.add_argument("--fleet-seed", type=int, default=0, metavar="SEED",
-                               help="router hashing/tie-break seed (default: 0)")
-        subparser.add_argument("--workers", type=int, default=0, metavar="N",
-                               help="worker processes executing shards (default: 0 = "
-                               "in-process serial; results are identical either way)")
-        subparser.add_argument("--model", default="RMC1", metavar="RMC",
-                               help="DLRM model: RMC1..RMC4 (default: RMC1)")
-        subparser.add_argument("--num-batches", type=int, default=None, metavar="N",
-                               help="batches in the shared workload")
-        subparser.add_argument("--smoke", action="store_true",
-                               help="CI guard: quick scale plus fleet sanity checks, "
-                               "exit 1 on any failure")
-        _add_machine_arguments(subparser)
-        _add_scale_arguments(subparser)
-        subparser.add_argument("--json", action="store_true",
-                               help="print the fleet result as JSON")
-
-    fleet_run = fleet_commands.add_parser(
-        "run",
-        help="replay one workload closed-loop across the fleet",
-        description="Partition the workload across the shards with the selected "
-        "router and replay every shard; prints the combined fleet result "
-        "(completion = slowest shard, counters summed) and the per-shard "
-        "breakdown.",
-        epilog="examples:\n"
-        "  python -m repro fleet run --shards 8 --quick\n"
-        "  python -m repro fleet run --shards 4 --router hash --stream --workers 4",
-        formatter_class=raw,
-    )
-    _add_fleet_arguments(fleet_run)
-    fleet_run.add_argument("--batch-size", type=int, default=None, metavar="N",
-                           help="queries per inference batch")
-    fleet_run.add_argument("--distribution", default=None, metavar="NAME",
-                           help="trace distribution: meta | zipfian | normal | "
-                           "uniform | random (default: meta)")
-    fleet_run.set_defaults(func=_cmd_fleet_run)
-
-    fleet_serve = fleet_commands.add_parser(
-        "serve",
-        help="serve one workload open-loop across the fleet",
-        description="Serve every shard open-loop at the offered QPS (each rack "
-        "sees the arrivals for its router-assigned requests) and report "
-        "fleet-level tail latency over the pooled per-request samples: "
-        "p50..p99.9, achieved QPS, goodput and SLA attainment.",
-        epilog="examples:\n"
-        "  python -m repro fleet serve --shards 4 --qps 4e5 --sla-ms 5 --quick\n"
-        "  python -m repro fleet serve --router power-of-two-choices --smoke",
-        formatter_class=raw,
-    )
-    _add_fleet_arguments(fleet_serve)
-    fleet_serve.add_argument("--qps", type=float, default=2e5, metavar="QPS",
-                             help="offered load in requests/s (default: 2e5)")
-    fleet_serve.add_argument("--arrival", default="poisson", metavar="NAME",
-                             help="arrival process: constant | poisson | bursty | "
-                             "mmpp | diurnal (default: poisson)")
-    fleet_serve.add_argument("--sla-ms", type=float, default=None, metavar="MS",
-                             help="latency SLA in milliseconds (enables SLA attainment)")
-    fleet_serve.add_argument("--max-batch", type=int, default=8, metavar="N",
-                             help="dynamic batcher max batch size (default: 8)")
-    fleet_serve.add_argument("--max-wait-us", type=float, default=100.0, metavar="US",
-                             help="dynamic batcher max wait in microseconds (default: 100)")
-    fleet_serve.add_argument("--seed", type=int, default=None, metavar="SEED",
-                             help="arrival-process seed (default: the scale's seed)")
-    fleet_serve.set_defaults(func=_cmd_fleet_serve)
 
     systems = subparsers.add_parser(
         "systems",

@@ -7,10 +7,8 @@ Evaluated systems register themselves by name with the
     class MySystem(SLSSystem):
         ...
 
-and are instantiated by name through :func:`create_system`.  The registry
-replaces the hard-coded ``SYSTEM_FACTORIES`` dict that used to live in
-``repro.baselines.registry``; that module now re-exports this one for
-backwards compatibility.
+and are instantiated by name through :func:`create_system`.
+``SYSTEM_FACTORIES`` is a live read-only mapping view of the registry.
 
 This module must stay import-light (standard library only): the baseline
 modules import it at class-definition time, before the rest of the package
@@ -198,11 +196,7 @@ def available_systems() -> Tuple[str, ...]:
 
 
 class _RegistryView(Mapping):
-    """Read-only live view of the registry.
-
-    Exported as ``SYSTEM_FACTORIES`` so code written against the old
-    hard-coded dict in ``repro.baselines.registry`` keeps working.
-    """
+    """Read-only live view of the registry, exported as ``SYSTEM_FACTORIES``."""
 
     def __getitem__(self, key: str) -> SystemFactory:
         return _effective_registry()[str(key).lower()]
@@ -217,8 +211,7 @@ class _RegistryView(Mapping):
         return f"SYSTEM_FACTORIES({sorted(_effective_registry())})"
 
 
-#: Deprecated: live mapping view kept for backwards compatibility with the
-#: old ``repro.baselines.registry.SYSTEM_FACTORIES`` dict.
+#: Live name -> factory mapping view of the registry.
 SYSTEM_FACTORIES: Mapping[str, SystemFactory] = _RegistryView()
 
 

@@ -20,13 +20,6 @@ from repro.baselines.gpu_ps import GPUParameterServer
 from repro.baselines.pond import PondSystem
 from repro.baselines.pond_pm import PondPMSystem
 from repro.baselines.recnmp import RecNMPSystem
-from repro.baselines.registry import (
-    SYSTEM_FACTORIES,
-    UnknownSystemError,
-    available_systems,
-    create_system,
-    register_system,
-)
 from repro.baselines.tpp import TPPSystem
 
 __all__ = [
@@ -36,9 +29,4 @@ __all__ = [
     "PondPMSystem",
     "RecNMPSystem",
     "TPPSystem",
-    "SYSTEM_FACTORIES",
-    "UnknownSystemError",
-    "available_systems",
-    "create_system",
-    "register_system",
 ]

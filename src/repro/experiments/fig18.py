@@ -7,7 +7,7 @@ from typing import Dict
 from repro.cost.energy import EnergyModel
 from repro.cost.power_area import PIFS_BREAKDOWN, RECNMP_X8, PowerAreaModel
 from repro.experiments.common import DEFAULT_SCALE, EvaluationScale, evaluation_system, evaluation_workload
-from repro.baselines import create_system
+from repro.api.registry import create_system
 from repro.pifs.system import PIFSRecSystem
 
 

@@ -58,7 +58,7 @@ def execute_fleet_shard(
     shared_workload_key: Optional[str] = None,
     shared_workload: Any = None,
     record: bool = False,
-    keep_records: bool = False,  # accepted for executor symmetry; no records here
+    keep_records: bool = False,
 ) -> dict:
     """Replay one shard (module-level and picklable — the pool's unit).
 
@@ -66,6 +66,8 @@ def execute_fleet_shard(
     shared workload is installed into the worker's cache first, and with
     ``record=True`` the payload carries the shard's observability
     snapshot for ``shard-<i>`` attribution in the parent.
+    ``keep_records`` (in-process execution only) also returns the shard's
+    system for inspection; it never crosses a pickle boundary.
     """
     if shared_workload_key and shared_workload is not None:
         seed_workload_cache(shared_workload_key, shared_workload)
@@ -87,6 +89,7 @@ def execute_fleet_shard(
         sim = system.run(workload)
     return {
         "sim": sim,
+        "system": system if keep_records else None,
         "obs": recorder.snapshot() if recorder is not None else None,
         "pid": os.getpid(),
     }
@@ -164,8 +167,8 @@ class Fleet:
         self.base_spec = _shard_base(spec)
         self.num_shards = int(spec.fleet_shards)
         self.router = make_router(spec.fleet_router, seed=spec.fleet_seed)
-        #: Per-shard systems of the last serial :meth:`run`/:meth:`serve`
-        #: (``None`` after pooled execution — workers keep their systems).
+        #: Per-shard systems of the last serial :meth:`run` (``None``
+        #: after pooled execution — workers keep their systems).
         self.systems: Optional[List[Any]] = None
 
     @property
@@ -236,37 +239,10 @@ class Fleet:
 
     def run(self, workers: int = 0, recorder: Optional[Any] = None) -> FleetResult:
         """Replay every shard closed-loop and aggregate the fleet result."""
-        self.systems = None
-        if not workers:
-            # Serial path inlined (not via the worker entry point) only to
-            # retain each shard's system for fingerprinting; the simulated
-            # path is the same executor call.
-            systems: List[Any] = []
-            payloads: List[dict] = []
-            key, shared = self._shared_workload()
-            for shard in range(self.num_shards):
-                sub = None
-                if recorder is not None:
-                    from repro.obs.recorder import TraceRecorder
-
-                    sub = TraceRecorder(label=f"shard-{shard}")
-                system = build_system(self.base_spec)
-                workload = ShardWorkload(shared, self.router, shard, self.num_shards)
-                if sub is not None:
-                    set_recorder = getattr(system, "set_recorder", None)
-                    if set_recorder is not None:
-                        set_recorder(sub)
-                    with sub.phase(f"fleet.shard-{shard}"):
-                        sim = system.run(workload)
-                else:
-                    sim = system.run(workload)
-                systems.append(system)
-                payloads.append({"sim": sim, "obs": sub.snapshot() if sub else None})
-            if recorder is not None:
-                self._merge_obs(recorder, payloads)
-            self.systems = systems
-        else:
-            payloads = self._execute(execute_fleet_shard, (), workers, recorder)
+        payloads = self._execute(execute_fleet_shard, (), workers, recorder)
+        # Only in-process shards hand back their system (for fingerprinting).
+        systems = [payload["system"] for payload in payloads]
+        self.systems = None if None in systems else systems
         per_shard = [payload["sim"] for payload in payloads]
         return FleetResult(
             system=system_label(self.spec.system),

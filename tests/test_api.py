@@ -21,7 +21,7 @@ from repro.api import (
     unregister_system,
 )
 from repro.api.session import cache_size
-from repro.baselines import SYSTEM_FACTORIES
+from repro.api.registry import SYSTEM_FACTORIES
 from repro.baselines.pond import PondSystem
 from repro.config import DEFAULT_SYSTEM
 from repro.experiments.common import DEFAULT_SCALE, EvaluationScale, evaluation_system
@@ -497,6 +497,81 @@ class TestCLI:
         assert main(["run", "pond", "--quick", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert RunResult.from_dict(payload).system == "pond"
+
+    def test_run_trace_flags_write_a_valid_trace(self, tmp_path, capsys):
+        from repro.api.cli import main
+        from repro.obs.recorder import validate_chrome_trace
+
+        trace, metrics = tmp_path / "t.json", tmp_path / "m.csv"
+        assert main([
+            "run", "pond", "--quick", "--trace-out", str(trace),
+            "--metrics-out", str(metrics),
+        ]) == 0
+        assert "total latency" in capsys.readouterr().out
+        events = json.loads(trace.read_text())
+        assert events["traceEvents"]
+        assert validate_chrome_trace(events) == []
+        assert metrics.read_text().startswith("metric,value")
+
+    def test_run_trace_flags_fail_on_a_schema_problem(self, tmp_path, monkeypatch, capsys):
+        import repro.obs.recorder
+        from repro.api.cli import main
+
+        monkeypatch.setattr(
+            repro.obs.recorder, "validate_chrome_trace", lambda trace: ["broken span"]
+        )
+        assert main(["run", "pond", "--quick", "--trace-out", str(tmp_path / "t.json")]) == 1
+        assert "trace schema: broken span" in capsys.readouterr().err
+
+    def test_run_trace_flags_keep_json_stdout_parseable(self, tmp_path, capsys):
+        from repro.api.cli import main
+
+        trace = tmp_path / "t.json"
+        assert main(["run", "pond", "--quick", "--json", "--trace-out", str(trace)]) == 0
+        captured = capsys.readouterr()
+        assert RunResult.from_dict(json.loads(captured.out)).system == "pond"
+        assert "trace" in captured.err and trace.is_file()
+
+    @pytest.mark.parametrize("fleet_flags, router, seed", [
+        ([], "table-affinity", 0),
+        (["--router", "hash", "--fleet-seed", "3"], "hash", 3),
+    ], ids=["defaults", "hash-seed3"])
+    def test_sharded_run_json_equals_run_fleet(self, fleet_flags, router, seed, capsys):
+        from repro.api.cli import main
+        from repro.fleet import run_fleet
+
+        assert main(["run", "pifs-rec", "--quick", "--shards", "2", *fleet_flags, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        spec = Simulation("pifs-rec").quick().model("RMC1").fleet(2, router=router, seed=seed).spec()
+        assert payload == json.loads(json.dumps(run_fleet(spec).to_dict()))
+        assert payload["num_shards"] == 2 and payload["router"] == router
+
+    def test_sharded_run_fails_when_shards_lose_requests(self, monkeypatch, capsys):
+        import repro.fleet
+        from repro.api.cli import main
+
+        real_run_fleet = repro.fleet.run_fleet
+
+        def dropping_run_fleet(*args, **kwargs):
+            result = real_run_fleet(*args, **kwargs)
+            result.per_shard = result.per_shard[:1]
+            return result
+
+        monkeypatch.setattr(repro.fleet, "run_fleet", dropping_run_fleet)
+        assert main(["run", "pifs-rec", "--quick", "--shards", "2"]) == 1
+        assert "do not sum to the fleet total" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["trace", "run", "pond", "--quick"],
+        ["fleet", "run", "--shards", "2", "--quick"],
+    ], ids=["trace", "fleet"])
+    def test_folded_verbs_no_longer_parse(self, argv, capsys):
+        from repro.api.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestSweepEngineCacheKey:

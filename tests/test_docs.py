@@ -24,7 +24,7 @@ _API_SYMBOL = re.compile(r"^#{2,4} +`(repro(?:\.[A-Za-z0-9_]+)+)`", re.MULTILINE
 
 SUBCOMMANDS = (
     "run", "sweep", "serve", "compare", "figures", "bench", "scenario",
-    "systems", "trace", "fleet",
+    "systems",
 )
 
 #: The documents the docs tree promises (README links them all).
@@ -144,7 +144,7 @@ class TestCLIHelp:
         assert "--engine" in out
         assert "vector" in out
 
-    @pytest.mark.parametrize("command", ["run", "sweep", "serve", "compare", "scenario", "trace"])
+    @pytest.mark.parametrize("command", ["run", "sweep", "serve", "compare", "scenario"])
     def test_examples_present(self, command, capsys):
         parser = build_parser()
         with pytest.raises(SystemExit):
@@ -161,15 +161,24 @@ class TestCLIHelp:
         out = capsys.readouterr().out
         assert len(out.splitlines()) > 5, f"'scenario {subcommand} --help' is too terse"
 
-    @pytest.mark.parametrize("subcommand", ["run", "serve", "scenario"])
-    def test_trace_subcommands(self, subcommand, capsys):
+    @pytest.mark.parametrize(
+        "argv, flags",
+        [
+            (["run"], ["--trace-out", "--metrics-out", "--shards", "--router", "--workers"]),
+            (["serve"], ["--trace-out", "--metrics-out", "--shards", "--router", "--workers"]),
+            (["scenario", "run"], ["--trace-out", "--metrics-out"]),
+        ],
+        ids=["run", "serve", "scenario"],
+    )
+    def test_trace_subcommands(self, argv, flags, capsys):
+        """The verbs that record (and shard) a session document those flags."""
         parser = build_parser()
         with pytest.raises(SystemExit) as excinfo:
-            parser.parse_args(["trace", subcommand, "--help"])
+            parser.parse_args([*argv, "--help"])
         assert excinfo.value.code == 0
         out = capsys.readouterr().out
-        assert "--out" in out, f"'trace {subcommand} --help' lost its export flag"
-        assert len(out.splitlines()) > 5, f"'trace {subcommand} --help' is too terse"
+        missing = [flag for flag in flags if flag not in out]
+        assert not missing, f"'{' '.join(argv)} --help' lost {missing}"
 
     def test_log_level_documented(self, capsys):
         parser = build_parser()

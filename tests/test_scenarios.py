@@ -515,6 +515,39 @@ class TestScenarioCLI:
 
         assert load_trace(target)
 
+    def test_export_trace_under_stream_is_the_streamed_trace(self, tmp_path, capsys):
+        target = tmp_path / "streamed.npz"
+        assert cli_main([
+            "scenario", "run", "hot-table-nmp-storm", "--quick", "--stream",
+            "--export-trace", str(target),
+        ]) == 0
+        from repro.traces.files import load_trace
+
+        streamed = scenario("hot-table-nmp-storm").simulation(
+            quick=True, stream=True
+        ).build_workload()
+        exported = load_trace(target)
+        replayed = list(streamed.stream)
+        assert len(exported) == len(replayed)
+        for got, want in zip(exported, replayed):
+            for a, b in zip(got.indices_per_table + got.offsets_per_table,
+                            want.indices_per_table + want.offsets_per_table):
+                np.testing.assert_array_equal(a, b)
+
+    def test_run_and_serve_share_one_trace(self, tmp_path, capsys):
+        from repro.obs.recorder import validate_chrome_trace
+
+        trace, metrics = tmp_path / "t.json", tmp_path / "m.csv"
+        assert cli_main([
+            "scenario", "run", "hot-table-nmp-storm", "--quick", "--serve",
+            "--trace-out", str(trace), "--metrics-out", str(metrics),
+        ]) == 0
+        events = json.loads(trace.read_text())
+        assert validate_chrome_trace(events) == []
+        categories = {event.get("cat") for event in events["traceEvents"]}
+        assert {"serve", "kernel", "net"} <= categories
+        assert metrics.is_file()
+
     def test_export_trace_single_scenario_only(self, capsys):
         assert cli_main([
             "scenario", "run", "paper-baseline", "zipfian-skew",

@@ -404,6 +404,60 @@ class TestServeCLI:
         assert main(["serve", "pond", "--quick", "--find-max-qps"]) == 2
         assert "--sla-ms" in capsys.readouterr().err
 
+    def test_serve_trace_flags_record_batching(self, tmp_path, capsys):
+        from repro.api.cli import main
+        from repro.obs.recorder import validate_chrome_trace
+
+        trace, metrics = tmp_path / "serve.json", tmp_path / "serve.csv"
+        assert main([
+            "serve", "pond", "--qps", "2e5", "--quick",
+            "--trace-out", str(trace), "--metrics-out", str(metrics),
+        ]) == 0
+        events = json.loads(trace.read_text())
+        assert validate_chrome_trace(events) == []
+        assert "serve" in {event.get("cat") for event in events["traceEvents"]}
+        assert metrics.read_text().startswith("metric,value")
+
+    def test_sharded_serve_pools_finite_percentiles(self, capsys):
+        from repro.api.cli import main
+
+        assert main([
+            "serve", "pond", "--quick", "--shards", "2", "--router", "hash", "--json",
+        ]) == 0
+        (result,) = json.loads(capsys.readouterr().out)["results"]
+        assert result["num_shards"] == 2 and result["router"] == "hash"
+        assert result["requests"] > 0
+        for key in ("p50_ns", "p95_ns", "p99_ns", "p999_ns"):
+            assert math.isfinite(result["latency"][key])
+
+    def test_serve_fails_when_a_fleet_serves_nothing(self, monkeypatch, capsys):
+        import repro.fleet
+        from repro.api.cli import main
+
+        real_serve_fleet = repro.fleet.serve_fleet
+        monkeypatch.setattr(
+            repro.fleet, "serve_fleet",
+            lambda *args, **kwargs: replace(real_serve_fleet(*args, **kwargs), requests=0),
+        )
+        assert main(["serve", "pond", "--smoke", "--shards", "2"]) == 1
+        assert "served zero requests" in capsys.readouterr().err
+
+    def test_sharded_serve_table_reports_largest_shard_queue(self, capsys):
+        from repro.api.cli import main
+
+        from repro.fleet import serve_fleet
+
+        assert main([
+            "serve", "pond", "--quick", "--shards", "2", "--qps", "3e5", "--workers", "2",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "2 shard(s) routed by table-affinity" in out
+        sim = Simulation("pond").quick().model("RMC1").fleet(2)
+        config = sim._serve_config(3e5, "poisson", 8, 100_000.0, None, None)
+        expected = max(shard.max_queue_depth for shard in serve_fleet(sim.spec(), config).per_shard)
+        row = next(line for line in out.splitlines() if line.startswith("pond"))
+        assert row.split("|")[-1].strip() == str(expected)
+
 
 # ---------------------------------------------------------------------------
 # Queue-depth aggregation edge cases

@@ -3,7 +3,7 @@ qualitative ordering holds."""
 
 import pytest
 
-from repro.baselines import SYSTEM_FACTORIES, create_system
+from repro.api.registry import SYSTEM_FACTORIES, create_system
 from repro.baselines.beacon import BeaconSystem
 from repro.baselines.pond import PondSystem
 from repro.baselines.recnmp import RecNMPSystem
