@@ -3,11 +3,16 @@
 A ~1M-request streamed trace (vector engine, table-affinity router) is
 replayed across 8 fleet shards twice: serially in-process
 (``Fleet.run(workers=0)``) and across the persistent worker pool
-(``workers=8``, each shard shipped as a small stream-handle view — the
-parent never materializes the trace).  The benchmark asserts the two
-paths return byte-identical fleet results, reports the fleet goodput and
-(from a pooled open-loop session) the fleet tail latency, and records
-the ``BENCH_fleet_scaling.json`` baseline.
+(``workers=8``).  Both modes decode the trace once, in the parent, which
+splits each window by shard into a temporary spool of compact decoded
+slices; each shard replays its own slice.  What travels to a worker is
+a small view — the base's stream handle, the router and the spool's
+directory — never trace bytes or request objects, and the parent never
+materializes the trace.  The benchmark asserts the two paths return
+byte-identical fleet results, reports the fleet goodput and (from a
+pooled open-loop session) the fleet tail latency, and records the
+``BENCH_fleet_scaling.json`` baseline.  The parent's one decode is
+serial, so it bounds the pooled speedup.
 
 The pinned floor is parallel speedup, so it is conditioned on the host
 actually having cores to scale onto:
@@ -82,7 +87,7 @@ def _compare_modes():
     fleet = Fleet(_fleet_spec())
 
     # The parent holds the trace as a handle, never as materialized
-    # requests: every shard ships as a small path+range+router view.
+    # requests: every shard view pickles as a small handle.
     import pickle
 
     for view in fleet.shard_workloads():

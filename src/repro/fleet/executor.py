@@ -7,17 +7,26 @@ its own fabric and its shard of the partitioned table space — behind one
 parallel, so execution generalizes the sweep engine's chunking from grid
 points to shards: the same persistent worker pool
 (:func:`repro.api.sweep.worker_pool`), the same parent-built shared
-workload shipped once per task (a streaming workload travels as its
-small stream handle, PR 8 style), and the same deterministic reassembly
-— results are collected in shard order, so serial and pooled execution
+workload shipped once per task, and the same deterministic reassembly —
+results are collected in shard order, so serial and pooled execution
 are byte-identical for any worker count.
+
+A streamed base is decoded once, in the parent: before any shard runs,
+:class:`~repro.fleet.shard.ShardSpool` splits it window by window into a
+temporary directory of per-shard slices, and every shard — in-process or
+in a pool worker — replays only its own slice from there.  Workers never
+decode the trace; what crosses the pipe is the base's small stream
+handle, the router and the spool's directory.  The spool is removed when
+the run ends, failed shards included.
 """
 
 from __future__ import annotations
 
 import os
+import tempfile
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, ContextManager, Iterator, List, Optional, Sequence, Tuple
 
 from repro.api.session import (
     RunSpec,
@@ -35,9 +44,17 @@ from repro.fleet.result import (
     summarize_fleet_serve,
 )
 from repro.fleet.router import Router, make_router
-from repro.fleet.shard import ShardWorkload
+from repro.fleet.shard import ShardSpool, ShardWorkload
 
 __all__ = ["Fleet", "run_fleet", "serve_fleet"]
+
+
+def _outcome(call, *args, **kwargs) -> Tuple[Optional[dict], Optional[BaseException]]:
+    """``(payload, None)`` from a shard call, or ``(None, error)`` if it raised."""
+    try:
+        return call(*args, **kwargs), None
+    except Exception as error:
+        return None, error
 
 
 def _shard_base(spec: RunSpec) -> RunSpec:
@@ -50,6 +67,39 @@ def _shard_base(spec: RunSpec) -> RunSpec:
     return replace(spec, fleet_shards=0, fleet_router="table-affinity", fleet_seed=0)
 
 
+def _open_shard(
+    base_spec: RunSpec,
+    router: Router,
+    shard: int,
+    num_shards: int,
+    shared_workload_key: Optional[str],
+    shared_workload: Any,
+    record: bool,
+    spool: Optional[ShardSpool],
+) -> Tuple[Any, ShardWorkload, Any, ContextManager]:
+    """The set-up both shard executors share.
+
+    Installs a parent-built shared workload into this process's cache
+    first (as :func:`repro.api.session.execute_chunk` does), builds the
+    shard's system and its view, and with ``record=True`` attaches a
+    ``shard-<i>`` recorder.  Returns ``(system, view, recorder, phase)``;
+    ``phase`` is the context the shard's session runs in.
+    """
+    if shared_workload_key and shared_workload is not None:
+        seed_workload_cache(shared_workload_key, shared_workload)
+    system = build_system(base_spec)
+    workload = ShardWorkload(build_workload(base_spec), router, shard, num_shards, spool)
+    if not record:
+        return system, workload, None, nullcontext()
+    from repro.obs.recorder import TraceRecorder
+
+    recorder = TraceRecorder(label=f"shard-{shard}")
+    set_recorder = getattr(system, "set_recorder", None)
+    if set_recorder is not None:
+        set_recorder(recorder)
+    return system, workload, recorder, recorder.phase(f"fleet.shard-{shard}")
+
+
 def execute_fleet_shard(
     base_spec: RunSpec,
     router: Router,
@@ -59,33 +109,21 @@ def execute_fleet_shard(
     shared_workload: Any = None,
     record: bool = False,
     keep_records: bool = False,
+    spool: Optional[ShardSpool] = None,
 ) -> dict:
     """Replay one shard (module-level and picklable — the pool's unit).
 
-    Mirrors :func:`repro.api.session.execute_chunk`: a parent-built
-    shared workload is installed into the worker's cache first, and with
-    ``record=True`` the payload carries the shard's observability
-    snapshot for ``shard-<i>`` attribution in the parent.
+    With ``record=True`` the payload carries the shard's observability
+    snapshot for ``shard-<i>`` attribution in the parent.  ``spool`` is
+    the fleet's split of a streamed trace; the shard replays its slice.
     ``keep_records`` (in-process execution only) also returns the shard's
     system for inspection; it never crosses a pickle boundary.
     """
-    if shared_workload_key and shared_workload is not None:
-        seed_workload_cache(shared_workload_key, shared_workload)
-    recorder = None
-    if record:
-        from repro.obs.recorder import TraceRecorder
-
-        recorder = TraceRecorder(label=f"shard-{shard}")
-    system = build_system(base_spec)
-    base = build_workload(base_spec)
-    workload = ShardWorkload(base, router, shard, num_shards)
-    if recorder is not None:
-        set_recorder = getattr(system, "set_recorder", None)
-        if set_recorder is not None:
-            set_recorder(recorder)
-        with recorder.phase(f"fleet.shard-{shard}"):
-            sim = system.run(workload)
-    else:
+    system, workload, recorder, phase = _open_shard(
+        base_spec, router, shard, num_shards,
+        shared_workload_key, shared_workload, record, spool,
+    )
+    with phase:
         sim = system.run(workload)
     return {
         "sim": sim,
@@ -105,6 +143,7 @@ def execute_fleet_serve_shard(
     shared_workload: Any = None,
     record: bool = False,
     keep_records: bool = False,
+    spool: Optional[ShardSpool] = None,
 ) -> dict:
     """Serve one shard open-loop; ships summary + raw timing samples back.
 
@@ -116,23 +155,11 @@ def execute_fleet_serve_shard(
     """
     from repro.serve.server import serve as _serve
 
-    if shared_workload_key and shared_workload is not None:
-        seed_workload_cache(shared_workload_key, shared_workload)
-    recorder = None
-    if record:
-        from repro.obs.recorder import TraceRecorder
-
-        recorder = TraceRecorder(label=f"shard-{shard}")
-    system = build_system(base_spec)
-    base = build_workload(base_spec)
-    workload = ShardWorkload(base, router, shard, num_shards)
-    if recorder is not None:
-        set_recorder = getattr(system, "set_recorder", None)
-        if set_recorder is not None:
-            set_recorder(recorder)
-        with recorder.phase(f"fleet.shard-{shard}"):
-            result = _serve(system, workload, config)
-    else:
+    system, workload, recorder, phase = _open_shard(
+        base_spec, router, shard, num_shards,
+        shared_workload_key, shared_workload, record, spool,
+    )
+    with phase:
         result = _serve(system, workload, config)
     samples = [
         (record_.latency_ns, record_.queue_wait_ns, record_.service_ns)
@@ -200,39 +227,65 @@ class Fleet:
             if snapshot is not None:
                 recorder.merge(snapshot, process=f"shard-{shard}")
 
+    @contextmanager
+    def _spooled(self, base: Any) -> Iterator[Optional[ShardSpool]]:
+        """Split a streamed base once into a temporary spool, removed on exit."""
+        if not getattr(base, "streaming", False):
+            yield None
+            return
+        with tempfile.TemporaryDirectory(prefix="repro-fleet-") as directory:
+            yield ShardSpool.write(base, self.router, self.num_shards, directory)
+
     def _execute(
         self, executor, extra_args: Tuple, workers: int, recorder: Optional[Any]
     ) -> List[dict]:
-        record = recorder is not None
-        if workers and workers > 0:
-            from repro.api.sweep import worker_pool
+        """Run ``executor`` once per shard and return the payloads in shard order.
 
-            key, shared = self._shared_workload()
-            pool = worker_pool().get(min(int(workers), self.num_shards))
-            pending = [
-                pool.apply_async(
-                    executor,
-                    (self.base_spec, self.router, shard, self.num_shards)
-                    + extra_args
-                    + (key, shared, record),
+        A streamed base is decoded once, here in the parent, into a spool
+        every shard reads its slice from; the spool is removed once every
+        shard has finished, failed ones included.  A failing shard raises
+        a ``RuntimeError`` naming it, chained to the shard's own error.
+        """
+        record = recorder is not None
+        key, shared = self._shared_workload()
+        shards = range(self.num_shards)
+        with self._spooled(shared) as spool:
+            if workers and workers > 0:
+                from repro.api.sweep import worker_pool
+
+                pool = worker_pool().get(min(int(workers), self.num_shards))
+                pending = [
+                    pool.apply_async(
+                        executor,
+                        (self.base_spec, self.router, shard, self.num_shards)
+                        + extra_args + (key, shared, record),
+                        {"spool": spool},
+                    )
+                    for shard in shards
+                ]
+                # A list: every shard has finished before the spool goes.
+                outcomes = [_outcome(task.get) for task in pending]
+            else:
+                # In-process serial path; identical inputs per shard, so the
+                # results match the pooled path byte for byte.  Records are
+                # retained (keep_records) — they never cross a process
+                # boundary here and ``to_dict`` excludes them, so serial and
+                # pooled result dicts still compare equal.  A generator: the
+                # first failing shard stops the run.
+                outcomes = (
+                    _outcome(
+                        executor, self.base_spec, self.router, shard, self.num_shards,
+                        *extra_args, None, None, record, True, spool=spool,
+                    )
+                    for shard in shards
                 )
-                for shard in range(self.num_shards)
-            ]
-            payloads = [task.get() for task in pending]
-        else:
-            # In-process serial path; identical inputs per shard, so the
-            # results match the pooled path byte for byte.  Records are
-            # retained (keep_records) — they never cross a process
-            # boundary here and ``to_dict`` excludes them, so serial and
-            # pooled result dicts still compare equal.
-            self._shared_workload()  # warm the cache once, like the pool parent
-            payloads = [
-                executor(
-                    self.base_spec, self.router, shard, self.num_shards,
-                    *extra_args, None, None, record, True,
-                )
-                for shard in range(self.num_shards)
-            ]
+            payloads = []
+            for shard, (payload, error) in enumerate(outcomes):
+                if error is not None:
+                    raise RuntimeError(
+                        f"fleet shard {shard} of {self.num_shards} failed: {error!r}"
+                    ) from error
+                payloads.append(payload)
         if recorder is not None:
             self._merge_obs(recorder, payloads)
         return payloads

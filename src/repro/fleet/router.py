@@ -129,7 +129,9 @@ class BoundRouter:
 
     Holds whatever per-pass mutable state the policy needs (the
     power-of-two-choices load counters); every replay pass over a stream
-    binds afresh, so repeated passes assign identically.
+    binds afresh, so repeated passes assign identically.  Policies
+    implement :meth:`route_bag` on a bag's plain fields, so a trace can be
+    split by shard without building request objects.
     """
 
     def __init__(self, policy: "Router", num_shards: int, num_tables: int) -> None:
@@ -138,12 +140,16 @@ class BoundRouter:
         self.partition = TablePartition(num_tables, num_shards)
 
     def route(self, request) -> int:
+        return self.route_bag(*_request_key(request))
+
+    def route_bag(self, table: int, sample: int, size: int, first: int, last: int) -> int:
+        """The shard of one non-empty bag, keyed as :func:`_request_key`."""
         raise NotImplementedError
 
 
 class _BoundHash(BoundRouter):
-    def route(self, request) -> int:
-        return _mix64(self.policy.seed, *_request_key(request)) % self.num_shards
+    def route_bag(self, *key: int) -> int:
+        return _mix64(self.policy.seed, *key) % self.num_shards
 
 
 class _BoundPowerOfTwo(BoundRouter):
@@ -151,8 +157,7 @@ class _BoundPowerOfTwo(BoundRouter):
         super().__init__(policy, num_shards, num_tables)
         self.loads = [0] * num_shards
 
-    def route(self, request) -> int:
-        key = _request_key(request)
+    def route_bag(self, *key: int) -> int:
         seed = self.policy.seed
         first = _mix64(seed, 1, *key) % self.num_shards
         second = _mix64(seed, 2, *key) % self.num_shards
@@ -164,13 +169,13 @@ class _BoundPowerOfTwo(BoundRouter):
             # Equal load (including first == second): a seeded coin picks,
             # so ties never resolve by shard index or enumeration order.
             choice = first if _mix64(seed, 3, *key) & 1 else second
-        self.loads[choice] += request.num_candidates
+        self.loads[choice] += key[2]
         return choice
 
 
 class _BoundTableAffinity(BoundRouter):
-    def route(self, request) -> int:
-        return self.partition.shard_of_table(request.table)
+    def route_bag(self, table: int, *rest: int) -> int:
+        return self.partition.shard_of_table(table)
 
 
 @dataclass(frozen=True)
@@ -182,7 +187,7 @@ class Router:
     #: Policy name as accepted by :func:`make_router` / the CLI.
     policy = ""
     #: True when every request lands on the shard owning its table —
-    #: shard views use this to slice streams by table range up front.
+    #: the fleet's split sends each (batch, table) whole to its owner.
     table_affine = False
 
     def bind(self, num_shards: int, num_tables: int) -> BoundRouter:

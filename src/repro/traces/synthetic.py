@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from enum import Enum
-from typing import Optional
+from functools import lru_cache
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -26,6 +27,34 @@ class TraceDistribution(Enum):
             raise ValueError(f"unknown distribution {name!r}; expected one of {valid}") from exc
 
 
+@lru_cache(maxsize=64)
+def _zipf_tables(num_embeddings: int, alpha: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The bounded-Zipf CDF and rank permutation of one table shape.
+
+    Neither depends on the trace RNG, so they are built once per
+    ``(num_embeddings, alpha)`` and shared read-only by every
+    (batch, table) draw.
+    """
+    ranks = np.arange(1, num_embeddings + 1, dtype=np.float64)
+    weights = ranks ** (-alpha)
+    cdf = np.cumsum(weights)
+    cdf /= cdf[-1]
+    permutation = np.random.default_rng(num_embeddings).permutation(num_embeddings)
+    cdf.setflags(write=False)
+    permutation.setflags(write=False)
+    return cdf, permutation
+
+
+@lru_cache(maxsize=64)
+def _meta_hot_set(num_embeddings: int, hot_rows: int) -> np.ndarray:
+    """The META distribution's seeded hot rows (read-only, built once)."""
+    hot_set = np.random.default_rng(num_embeddings + 1).choice(
+        num_embeddings, size=hot_rows, replace=False
+    )
+    hot_set.setflags(write=False)
+    return hot_set
+
+
 def _zipfian_indices(
     rng: np.random.Generator, count: int, num_embeddings: int, alpha: float
 ) -> np.ndarray:
@@ -36,13 +65,9 @@ def _zipfian_indices(
     shuffled deterministically so hot rows are spread across the table (as
     observed in production traces) rather than clustered at index 0.
     """
-    ranks = np.arange(1, num_embeddings + 1, dtype=np.float64)
-    weights = ranks ** (-alpha)
-    cdf = np.cumsum(weights)
-    cdf /= cdf[-1]
+    cdf, permutation = _zipf_tables(num_embeddings, float(alpha))
     samples = rng.random(count)
     rank_indices = np.searchsorted(cdf, samples, side="left")
-    permutation = np.random.default_rng(num_embeddings).permutation(num_embeddings)
     return permutation[rank_indices].astype(np.int64)
 
 
@@ -93,9 +118,7 @@ def generate_indices(
         return _zipfian_indices(rng, count, num_embeddings, zipf_alpha)
     if distribution is TraceDistribution.META:
         hot_rows = max(1, int(num_embeddings * hot_fraction))
-        hot_set = np.random.default_rng(num_embeddings + 1).choice(
-            num_embeddings, size=hot_rows, replace=False
-        )
+        hot_set = _meta_hot_set(num_embeddings, hot_rows)
         is_hot = rng.random(count) < hot_probability
         hot_choice = hot_set[rng.integers(0, hot_rows, size=count)]
         cold_choice = _zipfian_indices(rng, count, num_embeddings, alpha=0.8)

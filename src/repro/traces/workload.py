@@ -121,21 +121,25 @@ def flatten_table_bags(
     table_addresses: np.ndarray,
     row_bytes: int,
     host_of_sample: Callable[[int], int],
+    first_sample: int = 0,
 ) -> int:
     """Append one :class:`SLSRequest` per non-empty bag of one (batch, table).
 
     The single bag-flattening loop every workload source shares —
-    :func:`workload_from_batches` and the multi-tenant provider both
-    delegate here, so bag semantics (bounds, empty-bag skip, address
-    views) cannot drift between them.  ``host_of_sample`` maps a sample
-    index to its issuing host; returns the next free request id.
+    :func:`workload_from_batches`, the multi-tenant provider and the
+    fleet's shard blocks all delegate here, so bag semantics (bounds,
+    empty-bag skip, address views) cannot drift between them.
+    ``host_of_sample`` maps a sample index to its issuing host;
+    ``first_sample`` is the batch position of the first bag (a shard
+    block may start mid-batch).  Returns the next free request id.
     """
     bounds = np.concatenate([offsets, [len(indices)]])
-    for sample in range(len(offsets)):
-        start, end = int(bounds[sample]), int(bounds[sample + 1])
+    for position in range(len(offsets)):
+        start, end = int(bounds[position]), int(bounds[position + 1])
         rows = indices[start:end]
         if len(rows) == 0:
             continue
+        sample = first_sample + position
         requests.append(
             SLSRequest(
                 request_id=request_id,
@@ -403,11 +407,11 @@ class StreamingWorkload:
     def shard_view(self, router, shard: int, num_shards: int):
         """One shard's view of this workload under a fleet router.
 
-        Returns a :class:`~repro.fleet.shard.ShardWorkload` filtering
-        this stream to the requests ``router`` assigns to ``shard`` —
-        same global request ids, same O(window) residency, one shared
-        stream handle across all shards (the fleet engine's feeding
-        mechanism; see :mod:`repro.fleet`).
+        Returns a standalone :class:`~repro.fleet.shard.ShardWorkload`:
+        the requests ``router`` assigns to ``shard``, with the same
+        global request ids and O(window) residency, taken from its own
+        pass of :func:`~repro.fleet.shard.split_windows`.  A fleet splits
+        the stream once for all shards instead (see :mod:`repro.fleet`).
         """
         from repro.fleet.shard import ShardWorkload
 

@@ -10,13 +10,19 @@ Three layers of guarantees, strongest first:
   all shard views equals the eager workload — same requests, same global
   ids, no dupes, no gaps — including fleets with more shards than tables
   (empty shards) and streaming bases of any window size.
+* **Decode once**: a streamed fleet run or serve makes exactly one pass
+  over the trace, in the parent, and removes its spool even when a shard
+  fails.
 * **Fleet oracles** (differential harness): a 1-shard fleet is
   bit-identical to the plain single-system run across the full
   ``(engine, streaming, observe)`` grid, and N-shard results are
   independent of the worker pool size.
 """
 
+import os
 import pickle
+import tempfile
+from dataclasses import dataclass
 from itertools import chain
 from random import Random
 
@@ -25,7 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harness import assert_fleet_identical
-from repro.api.session import Simulation, spec_key
+from repro.api.session import Simulation, build_workload, clear_cache, spec_key
 from repro.api.sweep import Sweep
 from repro.fleet import (
     Fleet,
@@ -41,7 +47,8 @@ from repro.fleet import (
     shard_views,
 )
 from repro.fleet.router import _mix64, _request_key
-from repro.fleet.shard import ShardWorkload
+from repro.fleet.shard import ShardSpool, ShardWorkload
+from repro.scenarios.faults import FaultSpec
 from repro.serve.server import ServeConfig
 from repro.traces.files import save_trace, workload_from_trace
 from repro.traces.stream import MemoryBatchStream
@@ -263,6 +270,91 @@ def test_eager_shard_view_pickle_drops_the_filtered_list():
     clone = pickle.loads(pickle.dumps(view))
     assert clone._requests is None and clone._scan is None
     assert_requests_equal(kept, clone.requests)
+
+
+# ---------------------------------------------------------------------------
+# Decode once: the parent splits the stream, shards replay their slice
+# ---------------------------------------------------------------------------
+class CountingStream(MemoryBatchStream):
+    """Counts passes over the trace; a pass in any other process is an error."""
+
+    def __init__(self, batches):
+        super().__init__(batches)
+        self.pid = os.getpid()
+        self.passes = 0
+
+    def __iter__(self):
+        if os.getpid() != self.pid:
+            raise AssertionError("a fleet worker decoded the trace itself")
+        self.passes += 1
+        return super().__iter__()
+
+
+@pytest.fixture
+def counted_fleet():
+    """A streamed 3-shard fleet whose shared base reads a CountingStream."""
+
+    def make(router):
+        fleet = Fleet(_quick().stream().fleet(3, router=router, seed=5).spec())
+        base = build_workload(fleet.base_spec)
+        base.stream = CountingStream(base.stream.materialize())
+        return fleet, base.stream
+
+    clear_cache()
+    yield make
+    clear_cache()
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+@pytest.mark.parametrize("router", ROUTER_POLICIES)
+def test_fleet_run_and_serve_decode_the_trace_once(counted_fleet, router, workers):
+    fleet, stream = counted_fleet(router)
+    result = fleet.run(workers=workers)
+    assert stream.passes == 1
+    assert sum(shard.requests for shard in result.per_shard) == result.requests
+    fleet.serve(ServeConfig(qps=3e5), workers=workers)
+    assert stream.passes == 2
+
+
+def test_spooled_view_counts_take_no_pass(tmp_path):
+    batches = random_batches(4, 5, 3, 4, 3)
+    eager = workload_from_batches(batches, MODEL)
+    stream = CountingStream(batches)
+    base = StreamingWorkload(stream, MODEL, window_batches=2)
+    for index, router in enumerate(ROUTERS):
+        directory = tmp_path / str(index)
+        directory.mkdir()
+        spool = ShardSpool.write(base, router, 3, str(directory))
+        assert stream.passes == index + 1
+        views = [ShardWorkload(base, router, shard, 3, spool) for shard in range(3)]
+        assert sum(len(view) for view in views) == len(eager.requests)
+        assert sum(view.total_lookups for view in views) == eager.total_lookups
+        union = sorted(chain.from_iterable(views), key=lambda request: request.request_id)
+        assert_requests_equal(eager.requests, union)
+        assert stream.passes == index + 1, "a spooled view read the stream"
+
+
+@dataclass(frozen=True)
+class FailingFault(FaultSpec):
+    """A session mutator that fails every shard it is applied to."""
+
+    kind = "failing"
+
+    def apply(self, system) -> None:
+        raise ValueError("injected shard failure")
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_fleet_spool_is_removed_after_success_and_failure(tmp_path, monkeypatch, workers):
+    monkeypatch.setenv("TMPDIR", str(tmp_path))
+    monkeypatch.setattr(tempfile, "tempdir", None)
+    Fleet(_quick().stream().fleet(3).spec()).run(workers=workers)
+    assert list(tmp_path.iterdir()) == []
+    failing = Fleet(_quick().stream().faults(FailingFault()).fleet(3).spec())
+    with pytest.raises(RuntimeError, match="fleet shard 0 of 3 failed") as caught:
+        failing.run(workers=workers)
+    assert isinstance(caught.value.__cause__, ValueError)
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,18 @@
 """Tests for trace generation and the workload container (repro.traces)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.config import RMC1, WorkloadConfig, scaled_model
 from repro.traces.meta import generate_meta_like_trace
-from repro.traces.synthetic import TraceDistribution, generate_indices
+from repro.traces.synthetic import (
+    TraceDistribution,
+    _meta_hot_set,
+    _zipf_tables,
+    generate_indices,
+)
 from repro.traces.workload import build_workload
 
 
@@ -56,6 +63,38 @@ class TestDistributions:
         indices = generate_indices(TraceDistribution.UNIFORM, 1000, 100)
         counts = np.bincount(indices, minlength=100)
         assert counts.max() - counts.min() <= 1
+
+    #: Digests of the index bytes below, pinned before the seeded tables
+    #: were memoized: the cache must not change a single index.
+    DIGESTS = {
+        "meta": "020ed3bdd1fac7ba",
+        "zipfian": "4c9c8da22b8b671b",
+        "normal": "9fa99c566b5c2dd7",
+        "uniform": "6509b45ac86135f8",
+        "random": "50ceef48a5a44cbc",
+    }
+
+    @pytest.mark.parametrize("dist", list(TraceDistribution))
+    def test_indices_digest_is_pinned(self, dist):
+        digest = hashlib.sha256()
+        rng = np.random.default_rng(7)
+        for num_embeddings in (1, 97, 5000):
+            for alpha in (1.05, 0.9):
+                indices = generate_indices(
+                    dist, 300, num_embeddings, rng=rng, zipf_alpha=alpha
+                )
+                digest.update(indices.tobytes())
+        assert digest.hexdigest()[:16] == self.DIGESTS[dist.value]
+
+    def test_memoized_tables_are_read_only(self):
+        generate_indices(TraceDistribution.META, 10, 500, rng=np.random.default_rng(0))
+        cdf, permutation = _zipf_tables(500, 0.8)
+        hot_set = _meta_hot_set(500, 25)
+        assert _zipf_tables(500, 0.8)[0] is cdf, "zipf tables were rebuilt"
+        for table in (cdf, permutation, hot_set):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0
 
 
 class TestMetaTrace:
